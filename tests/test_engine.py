@@ -1,5 +1,7 @@
 """Event engine tests: link model, metrics, determinism, trace recounts."""
 
+import hashlib
+
 import pytest
 
 from ringsim import (
@@ -227,3 +229,25 @@ def test_stale_cache_purged_after_mid_run_break():
         or (2, 3) not in zip(engine.nodes[0].cache.lookup(0, 4),
                              engine.nodes[0].cache.lookup(0, 4)[1:])
     assert metrics.discovery_success >= 1
+
+
+# Recorded on CPython 3.11.7 with numpy 2.4.6.  Any change to what a run
+# sends, drops, delivers or counts moves this hash; a refactor must not.
+GOLDEN_SHA256 = "613f7cf078ea5ce7c7f3c322fdcb34dcd35a092ea4d0ed95845e008f1c607f41"
+
+
+def test_golden_exact_output():
+    digest = hashlib.sha256()
+    for protocol in Protocol:
+        for variant in Variant:
+            for radio_range in (250.0, 180.0):
+                cfg = RunConfig(protocol=protocol, variant=variant, n_nodes=30,
+                                arena=Arena(800.0, 800.0, radio_range),
+                                v_max=20.0, pause_time=0.0, duration=20.0,
+                                warmup=2.0, traffic_pairs=5, traffic_rate=4.0,
+                                seed=3, trace=True)
+                engine = Engine(cfg)
+                metrics = engine.run()
+                digest.update(format_trace(engine.trace).encode())
+                digest.update(repr(metrics).encode())
+    assert digest.hexdigest() == GOLDEN_SHA256
