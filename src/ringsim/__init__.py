@@ -10,7 +10,6 @@ from .analytics import (
     RingPopulation,
     ThresholdChoice,
     TtlSchedule,
-    UnsupportedFeatureError,
     Variant,
     avg_degree,
     blind_flood_cost,

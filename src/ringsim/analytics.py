@@ -36,10 +36,6 @@ class InvalidScheduleError(ValueError):
     """A TTL schedule is empty or otherwise unusable."""
 
 
-class UnsupportedFeatureError(RuntimeError):
-    """A protocol-specific operation was invoked on the wrong protocol."""
-
-
 @dataclass(frozen=True)
 class ErsParams:
     """Constants that drive ring growth and retry timing for one protocol.
@@ -59,7 +55,6 @@ class ErsParams:
     net_traversal_time: float = 5.6
     rreq_retries: int = 2
     local_add_ttl: int = 2
-    min_repair_ttl_mode: str = "last-known-hop-count"
     timeout_buffer: float = 2.0
     nonprop_timeout: float = 0.030
     discovery_hop_limit: int = 255
@@ -214,40 +209,18 @@ class LocationDistribution:
         return len(self.p)
 
 
-def avg_degree(d_f: Sequence[float], mode: str, horizon: int) -> float:
+def avg_degree(d_f: Sequence[float], horizon: int) -> float:
     """Mean forwarding degree over the first ``horizon`` hops.
 
-    ``mode`` records whether the horizon is the full search diameter
-    ("flooding") or the number of rings actually searched ("ers"); the
-    arithmetic is the same either way.
+    The horizon is the full search diameter for flooding, or the number of
+    rings actually searched for ERS.
     """
-    if mode not in ("flooding", "ers"):
-        raise ValueError(f"unknown averaging mode {mode!r}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > len(d_f):
         raise InsufficientProfileError(
             f"profile has {len(d_f)} forwarding degrees, horizon needs {horizon}")
     return sum(d_f[:horizon]) / horizon
-
-
-def blind_flood_cost(profile: ConnectivityProfile, k_n: int) -> float:
-    """Expected broadcast count of an unbounded flood searched to depth k_n.
-
-    First hop costs p_s*d_avg; each deeper hop i adds
-    d_avg * p_s**(i+1) * product(d_f[1..i]).
-    """
-    if k_n < 1:
-        raise ValueError("k_n must be >= 1")
-    if len(profile.d_f) < k_n - 1:
-        raise InsufficientProfileError(
-            f"profile has {len(profile.d_f)} forwarding degrees, depth {k_n} needs {k_n - 1}")
-    cost = profile.p_s * profile.d_avg
-    prod = 1.0
-    for i in range(1, k_n):
-        prod *= profile.d_f[i - 1]
-        cost += profile.d_avg * profile.p_s ** (i + 1) * prod
-    return cost
 
 
 def ring_cost_simple(rings: RingPopulation | Sequence[int], k: int) -> int:
@@ -264,8 +237,8 @@ def ring_cost_simple(rings: RingPopulation | Sequence[int], k: int) -> int:
 def ring_cost_ttl(profile: ConnectivityProfile, ttl: int) -> float:
     """Expected broadcast count of a single TTL-bounded ring.
 
-    Same functional form as :func:`blind_flood_cost` with the search depth
-    set by the ring's TTL; the two agree exactly for equal depths.
+    First hop costs p_s*d_avg; each deeper hop i adds
+    d_avg * p_s**(i+1) * product(d_f[1..i]).
     """
     if ttl < 1:
         raise ValueError("ttl must be >= 1")
@@ -278,6 +251,10 @@ def ring_cost_ttl(profile: ConnectivityProfile, ttl: int) -> float:
         prod *= profile.d_f[i - 1]
         cost += profile.d_avg * profile.p_s ** (i + 1) * prod
     return cost
+
+
+# An unbounded flood searched to depth k_n costs what a TTL-k_n ring costs.
+blind_flood_cost = ring_cost_ttl
 
 
 def total_search_cost(schedule: TtlSchedule, profile: ConnectivityProfile) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .analytics import ErsParams, Protocol, Variant, default_params
 from .packets import CONTROL_KINDS, DATA_SIZE, DataInfo, Packet
-from .protocols import Node
+from .protocols import NODE_CLASSES
 from .topology import (
     Arena,
     Graph,
@@ -25,14 +25,18 @@ from .topology import (
     waypoint_step,
 )
 
+BANDWIDTH = 2_000_000.0   # bits per second on every link
+HOP_LATENCY = 0.001       # seconds of processing per hop
+MOBILITY_TICK = 0.1       # seconds between waypoint steps and neighbor recomputes
+DATA_HOP_LIMIT = 64       # initial TTL of a data packet
+
 
 @dataclass(frozen=True)
 class LinkModel:
     """2 Mbps broadcast links: delay = serialization + per-hop processing."""
 
-    bandwidth: float = 2_000_000.0
-    processing_delay: float = 0.001
-    p_s: float = 1.0
+    bandwidth: float = BANDWIDTH
+    processing_delay: float = HOP_LATENCY
 
     def delay(self, size: int) -> float:
         return size * 8 / self.bandwidth + self.processing_delay
@@ -55,12 +59,6 @@ class RunConfig:
     seed: int = 1
     trace: bool = False
     params: ErsParams | None = None
-    bandwidth: float = 2_000_000.0
-    hop_latency: float = 0.001
-    mobility_tick: float = 0.1
-    route_lifetime: float = 10.0
-    queue_limit: int = 64
-    data_hop_limit: int = 64
 
     def __post_init__(self):
         problems = []
@@ -84,16 +82,6 @@ class RunConfig:
             problems.append("v_max must be >= 0")
         if self.pause_time < 0:
             problems.append("pause_time must be >= 0")
-        if self.bandwidth <= 0:
-            problems.append("bandwidth must be > 0")
-        if self.hop_latency < 0:
-            problems.append("hop_latency must be >= 0")
-        if self.mobility_tick <= 0:
-            problems.append("mobility_tick must be > 0")
-        if self.queue_limit < 1:
-            problems.append("queue_limit must be >= 1")
-        if self.data_hop_limit < 1:
-            problems.append("data_hop_limit must be >= 1")
         if problems:
             raise ValueError("invalid run config: " + "; ".join(problems))
 
@@ -148,7 +136,7 @@ class Engine:
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
-        self.link = LinkModel(config.bandwidth, config.hop_latency, config.p_s)
+        self.link = LinkModel()
         self.params = config.params or default_params(config.protocol,
                                                       config.variant)
         self.metrics = MetricsRecord()
@@ -164,12 +152,12 @@ class Engine:
         self._positions = list(self.graph0.positions)
         self._set_neighbors([list(row) for row in self.graph0.neighbors])
 
-        self.nodes = [
-            Node(i, config.protocol, config.variant, self.params, self,
-                 route_lifetime=config.route_lifetime,
-                 queue_limit=config.queue_limit)
-            for i in range(config.n_nodes)
-        ]
+        node_class = NODE_CLASSES[config.protocol]
+        self.nodes = [node_class(i, config.protocol, config.variant,
+                                 self.params, self)
+                      for i in range(config.n_nodes)]
+        # DATA packets handed to the link and not yet delivered, by identity
+        self._data_in_flight: dict[int, Packet] = {}
         self._uid = 0
         if config.v_max > 0:
             self._waypoints = [
@@ -203,7 +191,7 @@ class Engine:
     def run(self) -> MetricsRecord:
         cfg = self.config
         if self._waypoints is not None:
-            self.schedule_in(cfg.mobility_tick, self._mobility_tick)
+            self.schedule_in(MOBILITY_TICK, self._mobility_tick)
         if cfg.protocol is not Protocol.DSR:
             for node in self.nodes:
                 offset = self._rng_proto.uniform(0, self.params.hello_interval)
@@ -233,13 +221,9 @@ class Engine:
                 info = pkt.info
                 if info.state == "active" and pkt.created_at >= warmup:
                     active.add(info.uid)
-        for _, _, fn, args in self._heap:
-            # bound methods are re-created per access, so compare the function
-            if getattr(fn, "__func__", None) is Engine._deliver:
-                pkt = args[1]
-                if pkt.kind == "DATA" and pkt.info.state == "active" \
-                        and pkt.created_at >= warmup:
-                    active.add(pkt.info.uid)
+        for pkt in self._data_in_flight.values():
+            if pkt.info.state == "active" and pkt.created_at >= warmup:
+                active.add(pkt.info.uid)
         self.metrics.data_inflight_end = len(active)
 
     # ------------------------------------------------------------ tick events
@@ -248,12 +232,12 @@ class Engine:
         cfg = self.config
         states = self._waypoints
         for i, state in enumerate(states):
-            states[i] = waypoint_step(state, cfg.mobility_tick, cfg.pause_time,
+            states[i] = waypoint_step(state, MOBILITY_TICK, cfg.pause_time,
                                       cfg.v_max, cfg.arena, self._rng_mobility)
         self._positions = [s.position for s in states]
         self._set_neighbors(unit_disk_neighbors(self._positions,
                                                 cfg.arena.radio_range))
-        self.schedule_in(cfg.mobility_tick, self._mobility_tick)
+        self.schedule_in(MOBILITY_TICK, self._mobility_tick)
 
     def _hello_tick(self, nid: int) -> None:
         self.nodes[nid].on_hello_tick(self.now)
@@ -261,7 +245,7 @@ class Engine:
 
     def _traffic_tick(self, flow: int, src: int, dst: int, interval: float) -> None:
         pkt = Packet("DATA", self.config.packet_size, src, dst,
-                     self.config.data_hop_limit, self.now,
+                     DATA_HOP_LIMIT, self.now,
                      DataInfo(uid=self._uid, flow=flow))
         self._uid += 1
         if pkt.created_at >= self.config.warmup:
@@ -293,7 +277,11 @@ class Engine:
                 for nb in self.neighbor_lists[sender]:
                     if nb != next_hop:
                         self.schedule_in(delay, self._overhear, nb, pkt, sender)
-            self.schedule_in(delay, self._deliver, next_hop, pkt, sender)
+            if pkt.kind == "DATA":
+                self._data_in_flight[id(pkt)] = pkt
+                self.schedule_in(delay, self._deliver_data, next_hop, pkt, sender)
+            else:
+                self.schedule_in(delay, self._deliver, next_hop, pkt, sender)
         else:
             if self.trace is not None:
                 self._trace("drop", sender, pkt, "link_fail")
@@ -310,6 +298,10 @@ class Engine:
         if self.trace is not None:
             self._trace("recv", node_id, pkt, "-")
         self.nodes[node_id].on_packet(pkt, frm, self.now)
+
+    def _deliver_data(self, node_id: int, pkt: Packet, frm: int) -> None:
+        del self._data_in_flight[id(pkt)]
+        self._deliver(node_id, pkt, frm)
 
     def _overhear(self, node_id: int, pkt: Packet, frm: int) -> None:
         self.nodes[node_id].on_overhear(pkt, frm, self.now)

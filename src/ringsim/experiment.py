@@ -292,16 +292,15 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
         padded = counts + (0,) * max(0, ttl - 1 - len(counts))
         census.append(ring_cost_simple(padded, ttl))
 
-    emits = []
-    req_ids = []
-    for t, kind, node, pkt_kind, src, dst, ttl, tag in engine.trace:
-        if kind == "send" and pkt_kind == "RREQ" and node == source:
-            emits.append(t)
-            req_ids.append(int(tag.split(".")[1].split("r")[0]))
-    sim = tuple(metrics.rreq_tx.get((source, rid), 0) for rid in req_ids)
+    emits = tuple(t for t, kind, node, pkt_kind, *_ in engine.trace
+                  if kind == "send" and pkt_kind == "RREQ" and node == source)
+    # the source opens every ring itself, so its request keys enter the
+    # per-request counts in ring order
+    sim = tuple(count for (orig, _), count in metrics.rreq_tx.items()
+                if orig == source)
     return ProbeResult(protocol=protocol, variant=variant, seed=seed,
                        ring_ttls=rings, census_counts=tuple(census),
-                       sim_counts=sim, waits=waits, emit_times=tuple(emits))
+                       sim_counts=sim, waits=waits, emit_times=emits)
 
 
 def analytic_compare(scenario: ScenarioConfig) -> tuple[list[dict], str]:

@@ -1,12 +1,15 @@
 """Per-node reactive-routing behavior for AODV-, DSR-, and DYMO-style models.
 
-Each simulated node owns one :class:`Node` instance.  The event engine feeds
-it packet deliveries, timer callbacks, and link-failure signals; the node
-replies by calling back into the engine to transmit packets and arm timers.
-All three protocol models discover routes with expanding ring search; they
-differ in how replies are produced (route table, route cache, destination
-only), and in their maintenance machinery (local repair, packet salvaging,
-hello link sensing).
+Each simulated node owns one node object, built from :data:`NODE_CLASSES`.
+The event engine feeds it packet deliveries, timer callbacks, and link-failure
+signals; the node calls back into the engine to transmit packets and arm timers.
+
+:class:`Node` is the expanding-ring-search core all three models share.  The
+routing families plug into its hooks: :class:`SourceRouteNode` (DSR: route
+cache, salvaging, overhearing), :class:`HopByHopNode` (DYMO: route table,
+route errors, hellos) and its subclass :class:`AodvNode` (intermediate
+replies, local repair).  The engine-facing ``send_data`` and ``on_*`` handlers
+live on :class:`Node` alone, so wrapping them there instruments every family.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass, field
 from .analytics import (
     ErsParams,
     Protocol,
-    TtlSchedule,
-    UnsupportedFeatureError,
     Variant,
     build_schedule,
     ring_traversal_wait,
@@ -26,12 +27,15 @@ from .analytics import (
 from .packets import (
     BROADCAST,
     CONTROL_SIZE,
-    DataInfo,
     Packet,
     RerrInfo,
     RreqInfo,
     RrepInfo,
 )
+
+ROUTE_LIFETIME = 10.0      # seconds a route stays valid after it was last used
+QUEUE_LIMIT = 64           # data packets parked per destination awaiting a route
+HELLO_LOSS_THRESHOLD = 2   # hello intervals of silence before a link is broken
 
 
 def discovery_rings(protocol: Protocol, variant: Variant,
@@ -63,7 +67,6 @@ def ring_wait(protocol: Protocol, params: ErsParams, ring_index: int,
 
 @dataclass
 class RouteEntry:
-    destination: int
     next_hop: int
     hop_count: int
     valid_until: float
@@ -82,15 +85,11 @@ class DiscoveryState:
     rings: tuple[int, ...]
     ring_index: int = 0
     wait_deadline: float = 0.0
-    request_id: int = -1
     generation: int = 0
 
 
 @dataclass
 class RepairState:
-    destination: int
-    ttl: int
-    deadline: float
     generation: int
     buffer: deque = field(default_factory=deque)
 
@@ -151,82 +150,87 @@ class RouteCache:
 
 
 class Node:
-    """Protocol state machine for a single node."""
+    """Expanding-ring-search core shared by every routing family.
+
+    A family supplies these hooks: ``_dispatch_data`` (forward or queue a data
+    packet), ``_learn_reverse`` (what a passing request teaches; returns the
+    accumulated source route, if the family keeps one), ``_reply_as_target``,
+    ``_reply_en_route`` (answer from intermediate state; True if it did),
+    ``_handle_rrep``, ``_handle_rerr`` and ``_link_failed``, plus
+    ``_overhear`` or ``_hello_tick`` where the engine calls for them.
+    """
+
+    cache: RouteCache | None = None
+    _rreq_route: tuple[int, ...] = ()   # path a fresh request starts with
 
     def __init__(self, nid: int, protocol: Protocol, variant: Variant,
-                 params: ErsParams, engine, *, route_lifetime: float = 10.0,
-                 queue_limit: int = 64, hello_loss_threshold: int = 2):
+                 params: ErsParams, engine):
         self.nid = nid
         self.protocol = protocol
-        self.variant = variant
         self.params = params
         self.engine = engine
-        self.route_lifetime = route_lifetime
-        self.queue_limit = queue_limit
-        self.hello_loss_threshold = hello_loss_threshold
-
         self.rings = discovery_rings(protocol, variant, params)
         self.seq = 0
         self._next_req_id = 0
         self.seen_requests: set[tuple[int, int]] = set()
-        self.routes: dict[int, RouteEntry] = {}
-        self._last_hops: dict[int, int] = {}
-        self.cache = RouteCache(params.tap_cache_size) \
-            if protocol is Protocol.DSR else None
         self.pending: dict[int, DiscoveryState] = {}
-        self.repairs: dict[int, RepairState] = {}
         self.queues: dict[int, deque] = {}
-        self.last_heard: dict[int, float] = {}
-        self._grat_sent: dict[tuple[int, int], float] = {}
 
-    # ------------------------------------------------------------------ data
+    # -------------------------------------------------------- engine handlers
 
     def send_data(self, pkt: Packet, now: float) -> None:
         """Entry point for locally generated traffic."""
         pkt.info.traveled = (self.nid,)
         self._dispatch_data(pkt, now)
 
-    def _dispatch_data(self, pkt: Packet, now: float) -> None:
-        dest = pkt.dst
-        if self.protocol is Protocol.DSR:
-            info = pkt.info
-            if not info.route or info.route[info.pos] != self.nid:
-                route = self.cache.lookup(self.nid, dest)
-                if route is None:
-                    self._enqueue_data(dest, pkt, now)
-                    return
-                info.route = route
-                info.pos = 0
-            self._transmit_source_routed(pkt)
-            return
-        entry = self._valid_route(dest, now)
-        if entry is not None:
-            entry.valid_until = now + self.route_lifetime
-            entry.last_data_use = now
-            self.engine.send(self.nid, pkt, next_hop=entry.next_hop)
-        elif self.nid == pkt.src:
-            self._enqueue_data(dest, pkt, now)
-        elif self.protocol is Protocol.AODV:
-            self._start_repair(dest, self._last_hops.get(dest, 1), now, pkt)
-        else:
-            self.engine.drop_data(pkt, "no_route")
-            self._broadcast_rerr((dest,), now)
+    def on_packet(self, pkt: Packet, frm: int, now: float) -> None:
+        kind = pkt.kind
+        if kind == "RREQ":
+            self._handle_rreq(pkt, frm, now)
+        elif kind == "RREP":
+            self._handle_rrep(pkt, frm, now)
+        elif kind == "RERR":
+            self._handle_rerr(pkt, frm, now)
+        elif kind == "HELLO":
+            # hellos exist only where the engine arms hello ticks
+            self.last_heard[frm] = now
+        elif kind == "DATA":
+            self._handle_data(pkt, frm, now)
 
-    def _transmit_source_routed(self, pkt: Packet) -> None:
+    def on_overhear(self, pkt: Packet, frm: int, now: float) -> None:
+        """Promiscuous reception of a unicast addressed to a neighbor."""
+        self._overhear(pkt, now)
+
+    def on_hello_tick(self, now: float) -> None:
+        """Broadcast a hello and declare neighbors silent too long broken."""
+        self._hello_tick(now)
+
+    def on_unicast_fail(self, pkt: Packet, next_hop: int, now: float) -> None:
+        """The engine could not hand pkt to next_hop: the link is gone."""
+        self._link_failed(pkt, next_hop, now)
+
+    # ------------------------------------------------------------------ data
+
+    def _handle_data(self, pkt: Packet, frm: int, now: float) -> None:
         info = pkt.info
-        nxt = info.route[info.pos + 1]
-        info.pos += 1
-        self.engine.send(self.nid, pkt, next_hop=nxt)
+        info.traveled = info.traveled + (self.nid,)
+        if self.nid == pkt.dst:
+            self.engine.data_delivered(pkt)
+            return
+        pkt.ttl -= 1
+        if pkt.ttl <= 0:
+            self.engine.drop_data(pkt, "ttl_expired")
+            return
+        self._dispatch_data(pkt, now)
 
     def _enqueue_data(self, dest: int, pkt: Packet, now: float) -> None:
         queue = self.queues.setdefault(dest, deque())
-        if len(queue) >= self.queue_limit:
+        if len(queue) >= QUEUE_LIMIT:
             self.engine.drop_data(queue.popleft(), "queue_overflow")
         queue.append(pkt)
         # callers only enqueue when no usable route exists, so a discovery is
         # always the drain path
-        if dest not in self.pending:
-            self._start_discovery(dest, now)
+        self.request_route(dest, now)
 
     def _drain_queue(self, dest: int, now: float) -> None:
         queue = self.queues.pop(dest, None)
@@ -235,14 +239,14 @@ class Node:
         for pkt in queue:
             self._dispatch_data(pkt, now)
 
+    def pending_data_packets(self) -> list[Packet]:
+        """Every data packet currently parked in this node (for conservation)."""
+        return [pkt for queue in self.queues.values() for pkt in queue]
+
     # ------------------------------------------------------------- discovery
 
     def request_route(self, dest: int, now: float) -> None:
-        """Start a discovery without queueing data (probe/measurement use)."""
-        if dest not in self.pending:
-            self._start_discovery(dest, now)
-
-    def _start_discovery(self, dest: int, now: float) -> None:
+        """Start a discovery for dest unless one is already pending."""
         if dest in self.pending:
             return
         self.seq += 1
@@ -251,22 +255,22 @@ class Node:
         self._emit_ring(state, now)
 
     def _emit_ring(self, state: DiscoveryState, now: float) -> None:
-        req_id = self._next_req_id
-        self._next_req_id += 1
-        state.request_id = req_id
-        self.seen_requests.add((self.nid, req_id))
         ttl = state.rings[state.ring_index]
-        route = (self.nid,) if self.protocol is Protocol.DSR else ()
-        info = RreqInfo(orig=self.nid, req_id=req_id, target=state.destination,
-                        hop_count=0, ring_ttl=ttl, orig_seq=self.seq, route=route)
-        pkt = Packet("RREQ", CONTROL_SIZE, self.nid, state.destination, ttl,
-                     now, info)
-        self.engine.send(self.nid, pkt)
+        self._send_rreq(state.destination, ttl, now)
         wait = ring_wait(self.protocol, self.params, state.ring_index, ttl)
         state.wait_deadline = now + wait
         state.generation += 1
         self.engine.schedule_in(wait, self._discovery_timeout,
                                 state.destination, state.generation)
+
+    def _send_rreq(self, dest: int, ttl: int, now: float) -> None:
+        req_id = self._next_req_id
+        self._next_req_id += 1
+        self.seen_requests.add((self.nid, req_id))
+        info = RreqInfo(orig=self.nid, req_id=req_id, target=dest, hop_count=0,
+                        ring_ttl=ttl, orig_seq=self.seq, route=self._rreq_route)
+        self.engine.send(self.nid, Packet("RREQ", CONTROL_SIZE, self.nid, dest,
+                                          ttl, now, info))
 
     def _discovery_timeout(self, dest: int, generation: int) -> None:
         state = self.pending.get(dest)
@@ -292,89 +296,6 @@ class Node:
                 for pkt in queue:
                     self.engine.drop_data(pkt, "discovery_failed")
 
-    # ------------------------------------------------------------ local repair
-
-    def local_repair(self, broken_destination: int, last_hop_count: int,
-                     now: float, pkt: Packet | None = None) -> None:
-        """Bounded re-discovery next to a broken link (hop-by-hop AODV model only)."""
-        if self.protocol is not Protocol.AODV:
-            raise UnsupportedFeatureError(
-                f"local repair is not defined for {self.protocol.value}")
-        self._start_repair(broken_destination, last_hop_count, now, pkt)
-
-    def _start_repair(self, dest: int, last_hop_count: int, now: float,
-                      pkt: Packet | None = None) -> None:
-        state = self.repairs.get(dest)
-        if state is not None:
-            if pkt is not None:
-                state.buffer.append(pkt)
-            return
-        ttl = max(1, last_hop_count) + self.params.local_add_ttl
-        wait = min(ring_traversal_wait(ttl, self.params),
-                   self.params.net_traversal_time)
-        state = RepairState(destination=dest, ttl=ttl, deadline=now + wait,
-                            generation=self._next_req_id)
-        if pkt is not None:
-            state.buffer.append(pkt)
-        self.repairs[dest] = state
-        req_id = self._next_req_id
-        self._next_req_id += 1
-        self.seen_requests.add((self.nid, req_id))
-        self.seq += 1
-        info = RreqInfo(orig=self.nid, req_id=req_id, target=dest, hop_count=0,
-                        ring_ttl=ttl, orig_seq=self.seq, repair=True)
-        self.engine.send(self.nid, Packet("RREQ", CONTROL_SIZE, self.nid, dest,
-                                          ttl, now, info))
-        self.engine.schedule_in(wait, self._repair_timeout, dest, state.generation)
-
-    def _repair_timeout(self, dest: int, generation: int) -> None:
-        state = self.repairs.get(dest)
-        if state is None or state.generation != generation:
-            return
-        now = self.engine.now
-        if self._valid_route(dest, now) is not None:
-            self._repair_success(dest, now)
-            return
-        del self.repairs[dest]
-        for pkt in state.buffer:
-            self.engine.drop_data(pkt, "repair_failed")
-        self._broadcast_rerr((dest,), now)
-
-    def _repair_success(self, dest: int, now: float) -> None:
-        state = self.repairs.pop(dest, None)
-        if state is None:
-            return
-        for pkt in state.buffer:
-            self._dispatch_data(pkt, now)
-
-    # -------------------------------------------------------------- reception
-
-    def on_packet(self, pkt: Packet, frm: int, now: float) -> None:
-        kind = pkt.kind
-        if kind == "RREQ":
-            self._handle_rreq(pkt, frm, now)
-        elif kind == "RREP":
-            self._handle_rrep(pkt, frm, now)
-        elif kind == "RERR":
-            self._handle_rerr(pkt, frm, now)
-        elif kind == "HELLO":
-            if self.protocol is not Protocol.DSR:
-                self.last_heard[frm] = now
-        elif kind == "DATA":
-            self._handle_data(pkt, frm, now)
-
-    def _handle_data(self, pkt: Packet, frm: int, now: float) -> None:
-        info = pkt.info
-        info.traveled = info.traveled + (self.nid,)
-        if self.nid == pkt.dst:
-            self.engine.data_delivered(pkt)
-            return
-        pkt.ttl -= 1
-        if pkt.ttl <= 0:
-            self.engine.drop_data(pkt, "ttl_expired")
-            return
-        self._dispatch_data(pkt, now)
-
     def _handle_rreq(self, pkt: Packet, frm: int, now: float) -> None:
         if pkt.ttl < 0:
             self.engine.protocol_error(self.nid, pkt)
@@ -385,62 +306,71 @@ class Node:
             self.engine.record_drop(self.nid, pkt, "duplicate")
             return
         self.seen_requests.add(key)
-        hops_here = info.hop_count + 1
-
-        if self.protocol is Protocol.DSR:
-            accumulated = info.route + (self.nid,)
-            # links are symmetric, so the reversed prefix is a usable route back
-            self.cache.insert(tuple(reversed(accumulated)))
-        else:
-            accumulated = ()
-            self._install_route(info.orig, frm, hops_here, info.orig_seq, now)
-
+        path = self._learn_reverse(info, frm, now)
         if info.target == self.nid:
-            if self.protocol is Protocol.DSR:
-                self._send_rrep_source_routed(accumulated,
-                                              tuple(reversed(accumulated)), now)
-            else:
-                self.seq += 1
-                self._send_rrep(info.orig, self.nid, 0, self.seq, now)
+            self._reply_as_target(info, path, now)
             return
-
-        if self.protocol is Protocol.AODV:
-            entry = self._valid_route(info.target, now)
-            if entry is not None and entry.seq_valid:
-                self._send_rrep(info.orig, info.target, entry.hop_count,
-                                entry.seq, now)
-                return
-        elif self.protocol is Protocol.DSR:
-            sub = self.cache.lookup(self.nid, info.target)
-            if sub is not None:
-                full = accumulated + sub[1:]
-                if len(set(full)) == len(full):
-                    self._send_rrep_source_routed(
-                        full, tuple(reversed(accumulated)), now)
-                    return
-        # the DYMO model never answers from intermediate state
-
+        if self._reply_en_route(info, path, now):
+            return
         new_ttl = pkt.ttl - 1
         if new_ttl > 0 and self.engine.forward_coin():
             fwd = RreqInfo(orig=info.orig, req_id=info.req_id,
-                           target=info.target, hop_count=hops_here,
+                           target=info.target, hop_count=info.hop_count + 1,
                            ring_ttl=info.ring_ttl, orig_seq=info.orig_seq,
-                           route=accumulated, repair=info.repair)
+                           route=path)
             self.engine.send(self.nid, Packet("RREQ", CONTROL_SIZE, info.orig,
                                               info.target, new_ttl,
                                               pkt.created_at, fwd))
 
-    def _send_rrep(self, orig: int, target: int, hops_from_target: int,
-                   target_seq: int, now: float) -> None:
-        entry = self._valid_route(orig, now)
-        if entry is None:
-            return
-        entry.valid_until = now + self.route_lifetime
-        info = RrepInfo(target=target, orig=orig,
-                        hops_from_target=hops_from_target,
-                        target_seq=target_seq)
-        pkt = Packet("RREP", CONTROL_SIZE, target, orig, 0, now, info)
-        self.engine.send(self.nid, pkt, next_hop=entry.next_hop)
+
+class SourceRouteNode(Node):
+    """DSR model: source routes from a route cache, salvaging, overhearing."""
+
+    def __init__(self, nid: int, protocol: Protocol, variant: Variant,
+                 params: ErsParams, engine):
+        super().__init__(nid, protocol, variant, params, engine)
+        self.cache = RouteCache(params.tap_cache_size)
+        self._rreq_route = (nid,)
+        self._grat_sent: dict[tuple[int, int], float] = {}
+
+    def _dispatch_data(self, pkt: Packet, now: float) -> None:
+        info = pkt.info
+        if not info.route or info.route[info.pos] != self.nid:
+            route = self.cache.lookup(self.nid, pkt.dst)
+            if route is None:
+                self._enqueue_data(pkt.dst, pkt, now)
+                return
+            info.route = route
+            info.pos = 0
+        self._transmit_source_routed(pkt)
+
+    def _transmit_source_routed(self, pkt: Packet) -> None:
+        info = pkt.info
+        nxt = info.route[info.pos + 1]
+        info.pos += 1
+        self.engine.send(self.nid, pkt, next_hop=nxt)
+
+    def _learn_reverse(self, info: RreqInfo, frm: int,
+                       now: float) -> tuple[int, ...]:
+        path = info.route + (self.nid,)
+        # links are symmetric, so the reversed prefix is a usable route back
+        self.cache.insert(tuple(reversed(path)))
+        return path
+
+    def _reply_as_target(self, info: RreqInfo, path: tuple[int, ...],
+                         now: float) -> None:
+        self._send_rrep_source_routed(path, tuple(reversed(path)), now)
+
+    def _reply_en_route(self, info: RreqInfo, path: tuple[int, ...],
+                        now: float) -> bool:
+        sub = self.cache.lookup(self.nid, info.target)
+        if sub is None:
+            return False
+        full = path + sub[1:]
+        if len(set(full)) != len(full):
+            return False
+        self._send_rrep_source_routed(full, tuple(reversed(path)), now)
+        return True
 
     def _send_rrep_source_routed(self, full_route: tuple[int, ...],
                                  return_route: tuple[int, ...], now: float,
@@ -456,64 +386,29 @@ class Node:
 
     def _handle_rrep(self, pkt: Packet, frm: int, now: float) -> None:
         info = pkt.info
-        if self.protocol is Protocol.DSR:
-            self.cache.insert(info.route)
-            if self.nid == info.orig:
-                self._finish_discovery(info.target, True, now)
-                return
-            nxt_index = info.pos + 1
-            if nxt_index < len(info.return_route):
-                info.pos = nxt_index
-                self.engine.send(self.nid, pkt,
-                                 next_hop=info.return_route[nxt_index])
-            return
-        hops = info.hops_from_target + 1
-        self._install_route(info.target, frm, hops, info.target_seq, now,
-                            seq_valid=True)
-        if info.target in self.repairs:
-            self._repair_success(info.target, now)
+        self.cache.insert(info.route)
         if self.nid == info.orig:
             self._finish_discovery(info.target, True, now)
             return
-        entry = self._valid_route(info.orig, now)
-        if entry is None:
-            return
-        entry.valid_until = now + self.route_lifetime
-        fwd = RrepInfo(target=info.target, orig=info.orig,
-                       hops_from_target=hops, target_seq=info.target_seq)
-        self.engine.send(self.nid, Packet("RREP", CONTROL_SIZE, pkt.src,
-                                          pkt.dst, 0, now, fwd),
-                         next_hop=entry.next_hop)
+        self._forward_on_return_route(pkt)
 
     def _handle_rerr(self, pkt: Packet, frm: int, now: float) -> None:
         info = pkt.info
-        if self.protocol is Protocol.DSR:
-            if info.broken_link is not None:
-                self.cache.purge_link(*info.broken_link)
-            if self.nid == pkt.dst:
-                for dest in info.unreachable:
-                    if self.queues.get(dest) and dest not in self.pending:
-                        self._start_discovery(dest, now)
-                return
-            nxt_index = info.pos + 1
-            if nxt_index < len(info.return_route):
-                info.pos = nxt_index
-                self.engine.send(self.nid, pkt,
-                                 next_hop=info.return_route[nxt_index])
+        if info.broken_link is not None:
+            self.cache.purge_link(*info.broken_link)
+        if self.nid == pkt.dst:
+            for dest in info.unreachable:
+                if self.queues.get(dest):
+                    self.request_route(dest, now)
             return
-        affected = []
-        for dest in info.unreachable:
-            entry = self.routes.get(dest)
-            if entry is not None and entry.next_hop == frm:
-                del self.routes[dest]
-                affected.append(dest)
-        if affected:
-            self._broadcast_rerr(tuple(affected), now)
+        self._forward_on_return_route(pkt)
 
-    def _broadcast_rerr(self, dests: tuple[int, ...], now: float) -> None:
-        info = RerrInfo(unreachable=dests)
-        self.engine.send(self.nid, Packet("RERR", CONTROL_SIZE, self.nid,
-                                          BROADCAST, 1, now, info))
+    def _forward_on_return_route(self, pkt: Packet) -> None:
+        info = pkt.info
+        nxt_index = info.pos + 1
+        if nxt_index < len(info.return_route):
+            info.pos = nxt_index
+            self.engine.send(self.nid, pkt, next_hop=info.return_route[nxt_index])
 
     def _send_rerr_source_routed(self, data_pkt: Packet, broken: tuple[int, int],
                                  now: float) -> None:
@@ -526,34 +421,13 @@ class Node:
                                           data_pkt.src, 0, now, info),
                          next_hop=back[1])
 
-    # ------------------------------------------------------------ link events
-
-    def on_unicast_fail(self, pkt: Packet, next_hop: int, now: float) -> None:
-        """The engine could not hand pkt to next_hop: the link is gone."""
-        if self.protocol is Protocol.DSR:
-            self.cache.purge_link(self.nid, next_hop)
-            if pkt.kind == "DATA":
-                self._salvage_or_drop(pkt, next_hop, now)
-            return
-        active = [dest for dest, entry in self.routes.items()
-                  if entry.next_hop == next_hop
-                  and now - entry.last_data_use <= self.route_lifetime]
-        self._invalidate_routes_via(next_hop)
+    def _link_failed(self, pkt: Packet, next_hop: int, now: float) -> None:
+        self.cache.purge_link(self.nid, next_hop)
         if pkt.kind == "DATA":
-            dest = pkt.dst
-            if self.nid == pkt.src:
-                self._enqueue_data(dest, pkt, now)
-            elif self.protocol is Protocol.AODV:
-                self._start_repair(dest, self._last_hops.get(dest, 1), now, pkt)
-            else:
-                self.engine.drop_data(pkt, "link_break")
-                if dest not in active:
-                    active.append(dest)
-                self._broadcast_rerr(tuple(active), now)
+            self._salvage_or_drop(pkt, next_hop, now)
 
     def _salvage_or_drop(self, pkt: Packet, broken_next: int, now: float) -> None:
         info = pkt.info
-        dest = pkt.dst
         if self.nid == pkt.src:
             # the source simply re-resolves: cached alternative or rediscovery
             info.route = ()
@@ -561,7 +435,7 @@ class Node:
             self._dispatch_data(pkt, now)
             return
         if info.salvage_count < self.params.max_main_rexmt:
-            alt = self.cache.lookup(self.nid, dest)
+            alt = self.cache.lookup(self.nid, pkt.dst)
             if alt is not None:
                 info.salvage_count += 1
                 info.route = alt
@@ -574,26 +448,8 @@ class Node:
         self.engine.drop_data(pkt, reason)
         self._send_rerr_source_routed(pkt, (self.nid, broken_next), now)
 
-    def dsr_cache_update(self, route: tuple[int, ...]) -> None:
-        """Record an observed source route, evicting the oldest at capacity."""
-        if self.protocol is not Protocol.DSR:
-            raise UnsupportedFeatureError(
-                f"route caching is not defined for {self.protocol.value}")
-        self.cache.insert(route)
-
-    def dsr_salvage(self, pkt: Packet, broken_next: int, now: float) -> None:
-        """Reroute a data packet over a cached alternative after a link break."""
-        if self.protocol is not Protocol.DSR:
-            raise UnsupportedFeatureError(
-                f"salvaging is not defined for {self.protocol.value}")
-        self._salvage_or_drop(pkt, broken_next, now)
-
-    # -------------------------------------------------------------- overhear
-
-    def on_overhear(self, pkt: Packet, frm: int, now: float) -> None:
-        """Promiscuous reception: cache routes and shorten paths when possible."""
-        if self.protocol is not Protocol.DSR:
-            return
+    def _overhear(self, pkt: Packet, now: float) -> None:
+        """Cache overheard routes and shorten paths when possible."""
         info = pkt.info
         if pkt.kind == "RREP":
             self.cache.insert(info.route)
@@ -619,38 +475,115 @@ class Node:
             back = (self.nid,) + tuple(reversed(route[:sender_index + 1]))
             self._send_rrep_source_routed(short, back, now, gratuitous=True)
 
-    def dsr_gratuitous_rrep(self, pkt: Packet, frm: int, now: float) -> None:
-        if self.protocol is not Protocol.DSR:
-            raise UnsupportedFeatureError(
-                f"gratuitous replies are not defined for {self.protocol.value}")
-        self.on_overhear(pkt, frm, now)
 
-    # ----------------------------------------------------------------- hello
+class HopByHopNode(Node):
+    """DYMO model: next-hop route table, route errors, hello link sensing.
 
-    def on_hello_tick(self, now: float) -> None:
-        """Broadcast a hello and declare neighbors silent too long broken."""
-        if self.protocol is Protocol.DSR:
+    Only the destination answers a request; a forwarder that loses a route
+    drops the packet and reports the destination unreachable.
+    """
+
+    def __init__(self, nid: int, protocol: Protocol, variant: Variant,
+                 params: ErsParams, engine):
+        super().__init__(nid, protocol, variant, params, engine)
+        self.routes: dict[int, RouteEntry] = {}
+        self._last_hops: dict[int, int] = {}
+        self.last_heard: dict[int, float] = {}
+
+    def _dispatch_data(self, pkt: Packet, now: float) -> None:
+        dest = pkt.dst
+        entry = self._valid_route(dest, now)
+        if entry is not None:
+            entry.valid_until = now + ROUTE_LIFETIME
+            entry.last_data_use = now
+            self.engine.send(self.nid, pkt, next_hop=entry.next_hop)
+        elif self.nid == pkt.src:
+            self._enqueue_data(dest, pkt, now)
+        else:
+            self._route_lost(pkt, "no_route", [], now)
+
+    def _route_lost(self, pkt: Packet, reason: str, active: list[int],
+                    now: float) -> None:
+        """A forwarder holds pkt but no route to its destination."""
+        self.engine.drop_data(pkt, reason)
+        if pkt.dst not in active:
+            active.append(pkt.dst)
+        self._broadcast_rerr(tuple(active), now)
+
+    def _neighbor_lost(self, active: list[int], now: float) -> None:
+        """Hellos stopped; active lists the destinations that carried data."""
+        if active:
+            self._broadcast_rerr(tuple(active), now)
+
+    def _route_confirmed(self, dest: int, now: float) -> None:
+        """A reply just installed a confirmed route to dest."""
+
+    def _learn_reverse(self, info: RreqInfo, frm: int, now: float) -> tuple:
+        self._install_route(info.orig, frm, info.hop_count + 1, info.orig_seq, now)
+        return ()
+
+    def _reply_as_target(self, info: RreqInfo, path: tuple, now: float) -> None:
+        self.seq += 1
+        self._send_rrep(info.orig, self.nid, 0, self.seq, now)
+
+    def _reply_en_route(self, info: RreqInfo, path: tuple, now: float) -> bool:
+        return False
+
+    def _send_rrep(self, orig: int, target: int, hops_from_target: int,
+                   target_seq: int, now: float) -> None:
+        entry = self._valid_route(orig, now)
+        if entry is None:
             return
+        entry.valid_until = now + ROUTE_LIFETIME
+        info = RrepInfo(target=target, orig=orig,
+                        hops_from_target=hops_from_target,
+                        target_seq=target_seq)
+        pkt = Packet("RREP", CONTROL_SIZE, target, orig, 0, now, info)
+        self.engine.send(self.nid, pkt, next_hop=entry.next_hop)
+
+    def _handle_rrep(self, pkt: Packet, frm: int, now: float) -> None:
+        info = pkt.info
+        hops = info.hops_from_target + 1
+        self._install_route(info.target, frm, hops, info.target_seq, now,
+                            seq_valid=True)
+        self._route_confirmed(info.target, now)
+        if self.nid == info.orig:
+            self._finish_discovery(info.target, True, now)
+            return
+        self._send_rrep(info.orig, info.target, hops, info.target_seq, now)
+
+    def _handle_rerr(self, pkt: Packet, frm: int, now: float) -> None:
+        affected = []
+        for dest in pkt.info.unreachable:
+            entry = self.routes.get(dest)
+            if entry is not None and entry.next_hop == frm:
+                del self.routes[dest]
+                affected.append(dest)
+        if affected:
+            self._broadcast_rerr(tuple(affected), now)
+
+    def _broadcast_rerr(self, dests: tuple[int, ...], now: float) -> None:
+        info = RerrInfo(unreachable=dests)
+        self.engine.send(self.nid, Packet("RERR", CONTROL_SIZE, self.nid,
+                                          BROADCAST, 1, now, info))
+
+    def _link_failed(self, pkt: Packet, next_hop: int, now: float) -> None:
+        active = self._drop_routes_via(next_hop, now)
+        if pkt.kind == "DATA":
+            if self.nid == pkt.src:
+                self._enqueue_data(pkt.dst, pkt, now)
+            else:
+                self._route_lost(pkt, "link_break", active, now)
+
+    def _hello_tick(self, now: float) -> None:
         self.engine.send(self.nid, Packet("HELLO", CONTROL_SIZE, self.nid,
                                           BROADCAST, 1, now, None))
-        silence = self.hello_loss_threshold * self.params.hello_interval
+        silence = HELLO_LOSS_THRESHOLD * self.params.hello_interval
         broken = [nbr for nbr, heard in self.last_heard.items()
                   if now - heard > silence]
         for nbr in broken:
             del self.last_heard[nbr]
-            # only routes that carried data recently are worth maintaining;
-            # reverse routes left behind by passing floods just expire
-            active = [dest for dest, entry in self.routes.items()
-                      if entry.next_hop == nbr
-                      and now - entry.last_data_use <= self.route_lifetime]
-            self._invalidate_routes_via(nbr)
-            if self.protocol is Protocol.AODV:
-                for dest in active:
-                    self._start_repair(dest, self._last_hops.get(dest, 1), now)
-            elif active:
-                self._broadcast_rerr(tuple(active), now)
-
-    # ---------------------------------------------------------------- routes
+            self._neighbor_lost(self._drop_routes_via(nbr, now), now)
 
     def _valid_route(self, dest: int, now: float) -> RouteEntry | None:
         entry = self.routes.get(dest)
@@ -673,25 +606,93 @@ class Node:
             if seq == current.seq and hops > current.hop_count:
                 return
         last_use = current.last_data_use if current is not None else float("-inf")
-        self.routes[dest] = RouteEntry(destination=dest, next_hop=next_hop,
-                                       hop_count=hops,
-                                       valid_until=now + self.route_lifetime,
+        self.routes[dest] = RouteEntry(next_hop=next_hop, hop_count=hops,
+                                       valid_until=now + ROUTE_LIFETIME,
                                        seq=seq, seq_valid=seq_valid,
                                        last_data_use=last_use)
         self._last_hops[dest] = hops
 
-    def _invalidate_routes_via(self, next_hop: int) -> list[int]:
-        affected = [dest for dest, entry in self.routes.items()
-                    if entry.next_hop == next_hop]
-        for dest in affected:
+    def _drop_routes_via(self, next_hop: int, now: float) -> list[int]:
+        """Forget every route through next_hop.
+
+        Returns the destinations of those that carried data recently: only
+        they are worth maintaining; reverse routes left behind by passing
+        floods just expire.
+        """
+        via = [(dest, entry) for dest, entry in self.routes.items()
+               if entry.next_hop == next_hop]
+        for dest, _ in via:
             del self.routes[dest]
-        return affected
+        return [dest for dest, entry in via
+                if now - entry.last_data_use <= ROUTE_LIFETIME]
+
+
+class AodvNode(HopByHopNode):
+    """AODV model: intermediate replies from confirmed routes, local repair."""
+
+    def __init__(self, nid: int, protocol: Protocol, variant: Variant,
+                 params: ErsParams, engine):
+        super().__init__(nid, protocol, variant, params, engine)
+        self.repairs: dict[int, RepairState] = {}
+
+    def _reply_en_route(self, info: RreqInfo, path: tuple, now: float) -> bool:
+        entry = self._valid_route(info.target, now)
+        if entry is None or not entry.seq_valid:
+            return False
+        self._send_rrep(info.orig, info.target, entry.hop_count, entry.seq, now)
+        return True
+
+    def _route_lost(self, pkt: Packet, reason: str, active: list[int],
+                    now: float) -> None:
+        self._start_repair(pkt.dst, now, pkt)
+
+    def _neighbor_lost(self, active: list[int], now: float) -> None:
+        for dest in active:
+            self._start_repair(dest, now)
+
+    def _start_repair(self, dest: int, now: float,
+                      pkt: Packet | None = None) -> None:
+        """Bounded re-discovery next to a broken link, sized by the last
+        known hop count to dest."""
+        state = self.repairs.get(dest)
+        if state is None:
+            state = RepairState(generation=self._next_req_id)
+            self.repairs[dest] = state
+            ttl = max(1, self._last_hops.get(dest, 1)) + self.params.local_add_ttl
+            self.seq += 1
+            self._send_rreq(dest, ttl, now)
+            self.engine.schedule_in(ring_wait(self.protocol, self.params, 0, ttl),
+                                    self._repair_timeout, dest, state.generation)
+        if pkt is not None:
+            state.buffer.append(pkt)
+
+    def _repair_timeout(self, dest: int, generation: int) -> None:
+        state = self.repairs.get(dest)
+        if state is None or state.generation != generation:
+            return
+        now = self.engine.now
+        if self._valid_route(dest, now) is not None:
+            self._route_confirmed(dest, now)
+            return
+        del self.repairs[dest]
+        for pkt in state.buffer:
+            self.engine.drop_data(pkt, "repair_failed")
+        self._broadcast_rerr((dest,), now)
+
+    def _route_confirmed(self, dest: int, now: float) -> None:
+        state = self.repairs.pop(dest, None)
+        if state is None:
+            return
+        for pkt in state.buffer:
+            self._dispatch_data(pkt, now)
 
     def pending_data_packets(self) -> list[Packet]:
-        """Every data packet currently parked in this node (for conservation)."""
-        parked = []
-        for queue in self.queues.values():
-            parked.extend(queue)
-        for repair in self.repairs.values():
-            parked.extend(repair.buffer)
-        return parked
+        return super().pending_data_packets() + [
+            pkt for repair in self.repairs.values() for pkt in repair.buffer]
+
+
+NODE_CLASSES: dict[Protocol, type[Node]] = {
+    Protocol.AODV: AodvNode,
+    Protocol.DSR: SourceRouteNode,
+    Protocol.DYMO: HopByHopNode,
+}

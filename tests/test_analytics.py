@@ -79,18 +79,16 @@ def test_params_invariants():
 # --------------------------------------------------------------- avg degree
 
 def test_avg_degree_examples():
-    assert avg_degree([4, 4, 4], "flooding", 3) == 4.0
-    assert avg_degree([6, 4, 2], "ers", 2) == 5.0
-    assert avg_degree([7], "ers", 1) == 7.0
+    assert avg_degree([4, 4, 4], 3) == 4.0
+    assert avg_degree([6, 4, 2], 2) == 5.0
+    assert avg_degree([7], 1) == 7.0
 
 
 def test_avg_degree_errors():
     with pytest.raises(InsufficientProfileError):
-        avg_degree([1.0, 2.0], "ers", 3)
+        avg_degree([1.0, 2.0], 3)
     with pytest.raises(ValueError):
-        avg_degree([1.0], "ers", 0)
-    with pytest.raises(ValueError):
-        avg_degree([1.0], "everything", 1)
+        avg_degree([1.0], 0)
 
 
 # -------------------------------------------------------------- flood costs

@@ -163,8 +163,8 @@ def test_unicast_to_departed_neighbor_triggers_recovery():
     from ringsim.protocols import RouteEntry
     for nid, other in ((0, 1), (1, 0)):
         engine.nodes[nid].routes[other] = RouteEntry(
-            destination=other, next_hop=other, hop_count=1, valid_until=99.0,
-            seq=1, seq_valid=True)
+            next_hop=other, hop_count=1, valid_until=99.0, seq=1,
+            seq_valid=True)
     metrics = engine.run()
     rreqs = [r for r in engine.trace if r[1] == "send" and r[3] == "RREQ"]
     fails = [r for r in engine.trace if r[1] == "drop" and r[7] == "link_fail"]

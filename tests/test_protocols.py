@@ -2,9 +2,10 @@
 
 import pytest
 
-from ringsim import Protocol, UnsupportedFeatureError, Variant, default_params
+from ringsim import Arena, Engine, Protocol, RunConfig, Variant, default_params
 from ringsim.packets import DataInfo, Packet, RreqInfo
-from ringsim.protocols import Node, RouteCache, discovery_rings, ring_wait
+from ringsim.protocols import (NODE_CLASSES, Node, RouteCache, discovery_rings,
+                               ring_wait)
 
 
 class FakeEngine:
@@ -51,7 +52,7 @@ class FakeEngine:
 def make_node(protocol, variant, nid=0):
     engine = FakeEngine()
     params = default_params(protocol, variant)
-    node = Node(nid, protocol, variant, params, engine)
+    node = NODE_CLASSES[protocol](nid, protocol, variant, params, engine)
     return node, engine
 
 
@@ -230,26 +231,37 @@ def test_dymo_intermediate_never_replies():
 
 # -------------------------------------------------------------- local repair
 
+def _break_forwarded_link(protocol, variant, hops_to_dest, nid=3):
+    """A forwarder with a route to 9 via 8 loses the link while sending data."""
+    node, engine = make_node(protocol, variant, nid=nid)
+    if protocol is Protocol.DSR:
+        pkt = _dsr_data((0, nid, 8, 9), pos=1, dst=9)
+    else:
+        node._install_route(9, next_hop=8, hops=hops_to_dest, seq=1, now=1.0)
+        pkt = data_packet(0, 9)
+    node.on_unicast_fail(pkt, next_hop=8, now=1.0)
+    return node, engine, pkt
+
+
 def test_local_repair_ttl_uses_last_hop_count():
-    node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=3)
-    node.local_repair(9, last_hop_count=3, now=1.0)
+    _, engine, _ = _break_forwarded_link(Protocol.AODV, Variant.ERS1, 3)
     assert engine.sent[0][1].ttl == 5          # hop count + extra ring margin
-    node2, engine2 = make_node(Protocol.AODV, Variant.ERS2, nid=3)
-    node2.local_repair(9, last_hop_count=3, now=1.0)
+    _, engine2, _ = _break_forwarded_link(Protocol.AODV, Variant.ERS2, 3)
     assert engine2.sent[0][1].ttl == 4
 
 
 def test_local_repair_rejected_off_protocol():
+    # only the AODV model repairs locally; the others drop and report
     for protocol in (Protocol.DSR, Protocol.DYMO):
-        node, _ = make_node(protocol, Variant.ERS1, nid=3)
-        with pytest.raises(UnsupportedFeatureError):
-            node.local_repair(9, last_hop_count=3, now=1.0)
+        node, engine, _ = _break_forwarded_link(protocol, Variant.ERS1, 3)
+        assert "RREQ" not in engine.sent_kinds()
+        assert [r for _, r in engine.data_drops] == ["link_break"]
+        assert not hasattr(node, "repairs")
 
 
 def test_repair_timeout_reports_upstream():
-    node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=3)
-    pkt = data_packet(0, 9)
-    node.local_repair(9, last_hop_count=2, now=1.0, pkt=pkt)
+    node, engine, pkt = _break_forwarded_link(Protocol.AODV, Variant.ERS1, 2)
+    assert node.pending_data_packets() == [pkt]
     delay, fn, args = engine.timers[0]
     engine.now = 1.0 + delay
     fn(*args)
@@ -314,10 +326,30 @@ def test_hello_keeps_recent_neighbor():
     assert 8 in node.last_heard
 
 
-def test_dsr_sends_no_hellos():
-    node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=3)
-    node.on_hello_tick(2.5)
-    assert engine.sent == []
+def _counted_run(monkeypatch, handler, protocol):
+    """Calls of one Node handler over a short mobile run with traffic."""
+    calls = []
+    original = getattr(Node, handler)
+
+    def counting(self, *args):
+        calls.append(self.nid)
+        return original(self, *args)
+
+    monkeypatch.setattr(Node, handler, counting)
+    cfg = RunConfig(protocol=protocol, variant=Variant.ERS1, n_nodes=15,
+                    arena=Arena(500.0, 500.0, 200.0), v_max=10.0,
+                    duration=8.0, traffic_pairs=3, seed=2)
+    metrics = Engine(cfg).run()
+    monkeypatch.undo()
+    return len(calls), metrics
+
+
+def test_dsr_sends_no_hellos(monkeypatch):
+    ticks, metrics = _counted_run(monkeypatch, "on_hello_tick", Protocol.DSR)
+    assert ticks == 0
+    assert "HELLO" not in metrics.control_tx
+    ticks, _ = _counted_run(monkeypatch, "on_hello_tick", Protocol.AODV)
+    assert ticks > 0
 
 
 # ---------------------------------------------------- salvage and gratuitous
@@ -382,17 +414,18 @@ def test_gratuitous_reply_rate_limited():
     assert len(engine.sent) == 2
 
 
-def test_overhear_ignored_off_protocol():
-    node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=3)
-    pkt = _dsr_data((0, 1, 2, 3, 4), pos=1, dst=4)
-    node.on_overhear(pkt, frm=0, now=1.0)
-    assert engine.sent == []
+def test_overhear_ignored_off_protocol(monkeypatch):
+    for protocol in (Protocol.AODV, Protocol.DYMO):
+        heard, metrics = _counted_run(monkeypatch, "on_overhear", protocol)
+        assert heard == 0
+        assert metrics.data_delivered > 0
+    heard, _ = _counted_run(monkeypatch, "on_overhear", Protocol.DSR)
+    assert heard > 0
 
 
 def test_cache_update_surface():
     node, _ = make_node(Protocol.DSR, Variant.ERS2, nid=1)
-    node.dsr_cache_update((1, 2, 3))
+    node.cache.insert((1, 2, 3))
     assert node.cache.lookup(1, 3) == (1, 2, 3)
     aodv, _ = make_node(Protocol.AODV, Variant.ERS1, nid=1)
-    with pytest.raises(UnsupportedFeatureError):
-        aodv.dsr_cache_update((1, 2, 3))
+    assert aodv.cache is None
