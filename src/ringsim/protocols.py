@@ -95,57 +95,50 @@ class RepairState:
 
 
 class RouteCache:
-    """FIFO-evicting store of source routes, capped at a fixed entry count."""
+    """FIFO-evicting store of source routes, capped at a fixed entry count.
+
+    One insertion-ordered dict holds the routes: its key order is the FIFO
+    order and its keys answer the duplicate check.  Scans test tuple
+    membership first and index only the routes that hold both nodes; routes
+    never repeat a node, so ``index`` is a node's only position.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._routes: deque[tuple[int, ...]] = deque()
-        self._known: set[tuple[int, ...]] = set()
+        self._routes: dict[tuple[int, ...], None] = {}
         self.max_seen = 0
 
     def __len__(self) -> int:
         return len(self._routes)
 
     def insert(self, route: tuple[int, ...]) -> None:
-        if len(route) < 2 or len(set(route)) != len(route):
+        routes = self._routes
+        if route in routes or len(route) < 2 or len(set(route)) != len(route):
             return
-        if route in self._known:
-            return
-        if len(self._routes) >= self.capacity:
-            oldest = self._routes.popleft()
-            self._known.discard(oldest)
-        self._routes.append(route)
-        self._known.add(route)
-        self.max_seen = max(self.max_seen, len(self._routes))
+        if len(routes) >= self.capacity:
+            del routes[next(iter(routes))]
+        routes[route] = None
+        self.max_seen = max(self.max_seen, len(routes))
 
     def lookup(self, here: int, dest: int) -> tuple[int, ...] | None:
         """Shortest cached sub-route from here to dest, oldest entry on ties."""
         best = None
         for route in self._routes:
-            try:
+            if here in route and dest in route:
                 i = route.index(here)
                 j = route.index(dest)
-            except ValueError:
-                continue
-            if i < j:
-                sub = route[i:j + 1]
-                if best is None or len(sub) < len(best):
-                    best = sub
+                if i < j and (best is None or j - i + 1 < len(best)):
+                    best = route[i:j + 1]
         return best
 
     def purge_link(self, a: int, b: int) -> int:
         """Drop every route that traverses the (a, b) link in either direction."""
-        def uses(route):
-            return any((route[k] == a and route[k + 1] == b)
-                       or (route[k] == b and route[k + 1] == a)
-                       for k in range(len(route) - 1))
-
-        stale = [r for r in self._routes if uses(r)]
+        stale = [r for r in self._routes
+                 if a in r and b in r and abs(r.index(a) - r.index(b)) == 1]
         for r in stale:
-            self._routes.remove(r)
-            self._known.discard(r)
+            del self._routes[r]
         return len(stale)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -52,10 +52,19 @@ def unit_disk_neighbors(positions: Sequence[tuple[float, float]],
                         radio_range: float) -> list[list[int]]:
     """Sorted neighbor lists under the unit-disk rule (distance <= range)."""
     pts = np.asarray(positions, dtype=float).reshape(len(positions), 2)
-    diff = pts[:, None, :] - pts[None, :, :]
-    within = (diff * diff).sum(axis=2) <= radio_range * radio_range
+    x, y = pts[:, 0], pts[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    within = dx * dx + dy * dy <= radio_range * radio_range
     np.fill_diagonal(within, False)
-    return [np.flatnonzero(row).tolist() for row in within]
+    # one nonzero over the whole matrix; its column indices come row-major,
+    # so each row's neighbors are a contiguous, already sorted run
+    cols = np.nonzero(within)[1].tolist()
+    rows, start = [], 0
+    for count in within.sum(axis=1).tolist():
+        rows.append(cols[start:start + count])
+        start += count
+    return rows
 
 
 def graph_from_positions(positions: Sequence[tuple[float, float]],
@@ -198,7 +207,8 @@ def waypoint_step(state: WaypointState, dt: float, pause_time: float,
     if state.pause_remaining > 0:
         remaining = state.pause_remaining - dt
         if remaining > 0:
-            return replace(state, pause_remaining=remaining)
+            return WaypointState(state.position, state.waypoint, state.speed,
+                                 remaining)
         return WaypointState(position=state.position,
                              waypoint=_draw_waypoint(arena, rng),
                              speed=_draw_speed(v_max, rng),
@@ -211,14 +221,15 @@ def waypoint_step(state: WaypointState, dt: float, pause_time: float,
     step = state.speed * dt
     if distance <= step:
         if pause_time > 0:
-            return replace(state, position=state.waypoint,
-                           pause_remaining=pause_time)
+            return WaypointState(state.waypoint, state.waypoint, state.speed,
+                                 pause_time)
         return WaypointState(position=state.waypoint,
                              waypoint=_draw_waypoint(arena, rng),
                              speed=_draw_speed(v_max, rng),
                              pause_remaining=0.0)
     frac = step / distance
-    return replace(state, position=(x + dx * frac, y + dy * frac))
+    return WaypointState((x + dx * frac, y + dy * frac), state.waypoint,
+                         state.speed, state.pause_remaining)
 
 
 def dump_topology(graph: Graph) -> str:

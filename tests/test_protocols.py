@@ -1,6 +1,10 @@
 """Protocol state-machine tests driven by a recording fake engine."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsim import Arena, Engine, Protocol, RunConfig, Variant, default_params
 from ringsim.packets import DataInfo, Packet, RreqInfo
@@ -303,6 +307,112 @@ def test_cache_rejects_invalid_routes():
     cache.insert((0,))
     cache.insert((0, 1, 0))
     assert len(cache) == 0
+
+
+class _ScanRouteCache:
+    """Plain reference cache: a FIFO deque, a set of known routes, and
+    linear scans that locate nodes with try/index."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._routes = deque()
+        self._known = set()
+        self.max_seen = 0
+
+    def __len__(self):
+        return len(self._routes)
+
+    def insert(self, route):
+        if len(route) < 2 or len(set(route)) != len(route):
+            return
+        if route in self._known:
+            return
+        if len(self._routes) >= self.capacity:
+            oldest = self._routes.popleft()
+            self._known.discard(oldest)
+        self._routes.append(route)
+        self._known.add(route)
+        self.max_seen = max(self.max_seen, len(self._routes))
+
+    def lookup(self, here, dest):
+        best = None
+        for route in self._routes:
+            try:
+                i = route.index(here)
+                j = route.index(dest)
+            except ValueError:
+                continue
+            if i < j:
+                sub = route[i:j + 1]
+                if best is None or len(sub) < len(best):
+                    best = sub
+        return best
+
+    def purge_link(self, a, b):
+        def uses(route):
+            return any((route[k] == a and route[k + 1] == b)
+                       or (route[k] == b and route[k + 1] == a)
+                       for k in range(len(route) - 1))
+
+        stale = [r for r in self._routes if uses(r)]
+        for r in stale:
+            self._routes.remove(r)
+            self._known.discard(r)
+        return len(stale)
+
+
+_NODE = st.integers(0, 7)          # few ids, so routes overlap
+_ANY_NODE = st.integers(-1, 9)     # also ids no route holds
+_RECENT = st.integers(0, 7)        # how far back among the routes offered
+_SPOT = st.integers(0, 5)          # a position in a route, taken modulo
+
+_CACHE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.lists(_NODE, max_size=6, unique=True)),
+    st.tuples(st.just("insert"), st.lists(_NODE, max_size=6)),  # loops too
+    st.tuples(st.just("reinsert"), _RECENT),
+    st.tuples(st.just("detour"), _RECENT, _SPOT, _NODE),  # equal-length rival
+    st.tuples(st.just("lookup"), _ANY_NODE, _ANY_NODE),
+    st.tuples(st.just("lookup_on"), _RECENT, _SPOT, _SPOT),
+    st.tuples(st.just("purge_link"), _ANY_NODE, _ANY_NODE),
+    st.tuples(st.just("purge_on"), _RECENT, _SPOT, st.booleans()),
+), max_size=80)
+
+
+@settings(max_examples=300)
+@given(capacity=st.integers(1, 6), ops=_CACHE_OPS)
+def test_cache_matches_scan_reference(capacity, ops):
+    cache, ref = RouteCache(capacity), _ScanRouteCache(capacity)
+    offered = [(0, 1, 2)]  # every route inserted so far, valid or not
+
+    def recent(back):
+        return offered[-1 - back % len(offered)] or (0,)
+
+    for op, *args in ops:
+        if op in ("insert", "reinsert", "detour"):
+            if op == "insert":
+                route = tuple(args[0])
+            elif op == "reinsert":
+                route = recent(args[0])
+            else:  # swap one inner hop, so lookups see ties
+                route = recent(args[0])
+                i = 1 + args[1] % max(len(route) - 2, 1)
+                route = route[:i] + (args[2],) + route[i + 1:]
+            offered.append(route)
+            name, call_args = "insert", (route,)
+        elif op in ("lookup", "purge_link"):
+            name, call_args = op, args
+        elif op == "lookup_on":  # forward, reversed or here == dest
+            route = recent(args[0])
+            name, call_args = "lookup", (route[args[1] % len(route)],
+                                         route[args[2] % len(route)])
+        else:  # a link of a route, in either orientation
+            route = recent(args[0])
+            i = args[1] % len(route)
+            a, b = route[i], route[(i + 1) % len(route)]
+            name, call_args = "purge_link", ((a, b) if args[2] else (b, a))
+        assert getattr(cache, name)(*call_args) == getattr(ref, name)(*call_args)
+        assert len(cache) == len(ref)
+        assert cache.max_seen == ref.max_seen
 
 
 # -------------------------------------------------------------------- hello

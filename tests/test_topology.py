@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ringsim import (
@@ -21,6 +22,7 @@ from ringsim import (
     location_distribution,
     waypoint_step,
 )
+from ringsim.topology import unit_disk_neighbors
 
 ARENA = Arena(1000.0, 1000.0, 250.0)
 
@@ -226,6 +228,56 @@ def test_waypoint_trajectory_deterministic():
         return points
 
     assert trajectory() == trajectory()
+
+
+def test_waypoint_branches_keep_untouched_fields():
+    rng = random.Random(5)
+    before = rng.getstate()
+    # paused, pause not yet over: only the countdown moves
+    state = WaypointState((10.0, 10.0), (50.0, 50.0), 3.0, 5.0)
+    assert (waypoint_step(state, 1.0, 2.0, 30.0, ARENA, rng)
+            == WaypointState((10.0, 10.0), (50.0, 50.0), 3.0, 4.0))
+    # arrival with a pause: at the waypoint, speed kept, pause armed
+    state = WaypointState((0.0, 0.0), (5.0, 0.0), 10.0, -0.5)
+    assert (waypoint_step(state, 1.0, 7.0, 30.0, ARENA, rng)
+            == WaypointState((5.0, 0.0), (5.0, 0.0), 10.0, 7.0))
+    # straight advance: waypoint, speed and pause_remaining carried over
+    state = WaypointState((0.0, 0.0), (100.0, 0.0), 10.0, -0.5)
+    assert (waypoint_step(state, 1.0, 2.0, 30.0, ARENA, rng)
+            == WaypointState((10.0, 0.0), (100.0, 0.0), 10.0, -0.5))
+    assert rng.getstate() == before  # none of these branches draws
+
+
+def _reference_neighbors(positions, radio_range):
+    """Reference: a 3-D difference array and one flatnonzero per row."""
+    pts = np.asarray(positions, dtype=float).reshape(len(positions), 2)
+    diff = pts[:, None, :] - pts[None, :, :]
+    within = (diff * diff).sum(axis=2) <= radio_range * radio_range
+    np.fill_diagonal(within, False)
+    return [np.flatnonzero(row).tolist() for row in within]
+
+
+def test_unit_disk_neighbors_matches_per_row_reference():
+    rng = random.Random(9)
+    layouts = [
+        [(0.0, 0.0)],
+        [(0.0, 0.0), (250.0, 0.0)],                 # exactly at range
+        [(0.0, 0.0), (250.0, 0.0), (250.000001, 0.0), (0.0, 250.0)],
+        [(7.0, 7.0), (7.0, 7.0), (7.0, 7.0), (900.0, 900.0)],  # coincident
+    ]
+    for n in (2, 3, 10, 50):
+        layouts.append([(rng.uniform(0, 1000), rng.uniform(0, 1000))
+                        for _ in range(n)])
+        layouts.append([(rng.choice((0.0, 125.0, 250.0, 500.0)),
+                         rng.choice((0.0, 250.0))) for _ in range(n)])
+    for positions in layouts:
+        rows = unit_disk_neighbors(positions, 250.0)
+        assert rows == _reference_neighbors(positions, 250.0)
+        assert all(type(row) is list for row in rows)
+        # Engine.remove_link edits rows in place, so no two may be one list
+        assert len({id(row) for row in rows}) == len(rows)
+    assert unit_disk_neighbors([(0.0, 0.0)], 250.0) == [[]]
+    assert unit_disk_neighbors([(0.0, 0.0), (250.0, 0.0)], 250.0) == [[1], [0]]
 
 
 def test_dump_topology_round_trip():
