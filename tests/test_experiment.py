@@ -1,5 +1,6 @@
 """Config parsing, sweep execution, report emission, analytic comparison."""
 
+import hashlib
 import os
 
 import pytest
@@ -192,6 +193,24 @@ def test_analytic_compare_exact_in_static_mode():
     assert all(r["tx_rel_err"] == 0.0 for r in rows)
     assert all(r["sim_tx"] == r["census_tx"] for r in rows)
     assert "census" in table
+
+
+GOLDEN_COMPARE_SHA256 = (
+    "2606493d21fe4df524fa235f3215111cbeb612404123c7cb407d092e90edc341")
+
+
+def test_golden_compare_output():
+    """Exact pin on the compare table: every protocol x variant, two seeds at
+    p_s = 1 and one seed at p_s = 0.7, hashed as the CLI prints it."""
+    digest = hashlib.sha256()
+    for seeds, p_s in (((1, 2), 1.0), ((3,), 0.7)):
+        scenario = ScenarioConfig(nodes=25, arena_width=800.0,
+                                  arena_height=800.0, radio_range=250.0,
+                                  v_max=0.0, pause_times=(0.0,), duration=60.0,
+                                  warmup=0.0, seeds=seeds, p_s=p_s)
+        _, table = analytic_compare(scenario)
+        digest.update(table.encode())
+    assert digest.hexdigest() == GOLDEN_COMPARE_SHA256
 
 
 def test_analytic_compare_requires_static():
