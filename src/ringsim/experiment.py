@@ -20,6 +20,7 @@ from .analytics import (
 from .config import ConfigError, ScenarioConfig
 from .engine import (
     Engine,
+    MetricsRecord,
     RunConfig,
     compute_e2ed,
     compute_nrl,
@@ -72,6 +73,7 @@ def run_cell(scenario: ScenarioConfig, protocol: Protocol, variant: Variant,
                                  trace=trace_dir is not None)
     engine = Engine(cfg)
     metrics = engine.run()
+    _check_conservation(metrics)
     if trace_dir is not None:
         name = f"trace_{protocol.value}_{variant.value}_p{pause_time:g}_s{seed}.txt"
         with open(os.path.join(trace_dir, name), "w", encoding="utf-8") as handle:
@@ -91,6 +93,17 @@ def run_cell(scenario: ScenarioConfig, protocol: Protocol, variant: Variant,
         analytic_b_m=b_m,
         sim_rreq_tx=metrics.control_tx.get("RREQ", 0),
     )
+
+
+def _check_conservation(metrics: MetricsRecord) -> None:
+    """Every measured data packet ends delivered, dropped or still in flight."""
+    dropped = sum(metrics.drops.values())
+    if metrics.data_sent != (metrics.data_delivered + dropped
+                             + metrics.data_inflight_end):
+        raise RuntimeError(
+            f"packet conservation violated: sent {metrics.data_sent} != "
+            f"delivered {metrics.data_delivered} + dropped {dropped} + "
+            f"in flight {metrics.data_inflight_end}")
 
 
 def _cell_task(task) -> ResultRow:
@@ -119,6 +132,8 @@ def run_sweep(scenario: ScenarioConfig, parallel: int = 1,
               trace_dir: str | None = None) -> list[ResultRow]:
     """Run every (protocol, variant, pause, seed) cell; output order is the
     sorted cell order no matter how cells execute."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     tasks = [(scenario, p, v, pause, seed, trace_dir)
              for p, v, pause, seed in sweep_cells(scenario)]
     if parallel > 1 and len(tasks) > 1:
@@ -280,7 +295,7 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
     cfg = RunConfig(protocol=protocol, variant=variant, n_nodes=n_nodes,
                     arena=arena, v_max=0.0, pause_time=0.0,
                     duration=sum(waits) + 1.0, warmup=0.0, traffic_pairs=0,
-                    p_s=p_s, seed=seed, trace=True)
+                    p_s=p_s, seed=seed)
     engine = Engine(cfg)
     ghost = n_nodes  # a node id nobody owns
     engine.schedule_in(0.0, engine.nodes[source].request_route, ghost, 0.0)
@@ -292,15 +307,14 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
         padded = counts + (0,) * max(0, ttl - 1 - len(counts))
         census.append(ring_cost_simple(padded, ttl))
 
-    emits = tuple(t for t, kind, node, pkt_kind, *_ in engine.trace
-                  if kind == "send" and pkt_kind == "RREQ" and node == source)
     # the source opens every ring itself, so its request keys enter the
-    # per-request counts in ring order
+    # per-request counts in ring order, and its request ids are ring indices
     sim = tuple(count for (orig, _), count in metrics.rreq_tx.items()
                 if orig == source)
     return ProbeResult(protocol=protocol, variant=variant, seed=seed,
                        ring_ttls=rings, census_counts=tuple(census),
-                       sim_counts=sim, waits=waits, emit_times=emits)
+                       sim_counts=sim, waits=waits,
+                       emit_times=tuple(engine.nodes[source].rreq_opened))
 
 
 def analytic_compare(scenario: ScenarioConfig) -> tuple[list[dict], str]:

@@ -164,7 +164,8 @@ class Node:
         self.engine = engine
         self.rings = discovery_rings(protocol, variant, params)
         self.seq = 0
-        self._next_req_id = 0
+        # send time of each request this node originated; index = request id
+        self.rreq_opened: list[float] = []
         self.seen_requests: set[tuple[int, int]] = set()
         self.pending: dict[int, DiscoveryState] = {}
         self.queues: dict[int, deque] = {}
@@ -257,8 +258,8 @@ class Node:
                                 state.destination, state.generation)
 
     def _send_rreq(self, dest: int, ttl: int, now: float) -> None:
-        req_id = self._next_req_id
-        self._next_req_id += 1
+        req_id = len(self.rreq_opened)
+        self.rreq_opened.append(now)
         self.seen_requests.add((self.nid, req_id))
         info = RreqInfo(orig=self.nid, req_id=req_id, target=dest, hop_count=0,
                         ring_ttl=ttl, orig_seq=self.seq, route=self._rreq_route)
@@ -649,7 +650,7 @@ class AodvNode(HopByHopNode):
         known hop count to dest."""
         state = self.repairs.get(dest)
         if state is None:
-            state = RepairState(generation=self._next_req_id)
+            state = RepairState(generation=len(self.rreq_opened))
             self.repairs[dest] = state
             ttl = max(1, self._last_hops.get(dest, 1)) + self.params.local_add_ttl
             self.seq += 1

@@ -7,9 +7,12 @@ import pytest
 
 import ringsim.experiment as experiment
 from ringsim import (
+    Arena,
     ConfigError,
+    Engine,
     Protocol,
     ResultRow,
+    RunConfig,
     ScenarioConfig,
     Variant,
     analytic_compare,
@@ -20,7 +23,8 @@ from ringsim import (
     summarize,
 )
 from ringsim.cli import main as cli_main
-from ringsim.experiment import emit_report, sweep_cells
+from ringsim.experiment import emit_report, probe_discovery, sweep_cells
+from ringsim.protocols import AodvNode
 
 
 # -------------------------------------------------------------------- config
@@ -132,6 +136,35 @@ def test_sweep_isolates_cell_failure(monkeypatch):
     assert len([r for r in rows if not r.error]) == 3
 
 
+def test_sweep_checks_packet_conservation(monkeypatch):
+    rows = run_sweep(tiny_scenario(protocols=tuple(Protocol), seeds=(1,)))
+    assert len(rows) == 6 and all(r.error == "" for r in rows)
+
+    class LeakyEngine(Engine):
+        def run(self):
+            metrics = super().run()
+            metrics.data_sent += 1   # one packet that never ends anywhere
+            return metrics
+
+    monkeypatch.setattr(experiment, "Engine", LeakyEngine)
+    rows = run_sweep(tiny_scenario(seeds=(1,)))
+    assert len(rows) == 2
+    assert all("packet conservation violated" in r.error for r in rows)
+    assert all(r.throughput_bps is None for r in rows)
+
+
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_sweep_rejects_parallel_below_one(parallel, tmp_path, capsys):
+    with pytest.raises(ValueError, match="parallel must be >= 1"):
+        run_sweep(tiny_scenario(), parallel=parallel)
+    config = tmp_path / "tiny.cfg"
+    config.write_text("nodes = 8\nprotocols = [dymo]\nseeds = [1]\n",
+                      encoding="utf-8")
+    assert cli_main(["run", "--config", str(config), "--out",
+                     str(tmp_path / "out"), "--parallel", str(parallel)]) == 2
+    assert "error: parallel must be >= 1" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- reports
 
 def synthetic_rows():
@@ -211,6 +244,74 @@ def test_golden_compare_output():
         _, table = analytic_compare(scenario)
         digest.update(table.encode())
     assert digest.hexdigest() == GOLDEN_COMPARE_SHA256
+
+
+def _own_rreq_sends(trace, nid):
+    """Times and tags of the requests nid originated, from the trace."""
+    return [(t, tag) for t, kind, node, pkt_kind, _, _, _, tag in trace
+            if kind == "send" and pkt_kind == "RREQ" and node == nid
+            and tag.startswith(f"q{nid}.")]
+
+
+PROBE_ARENA = Arena(800.0, 800.0, 250.0)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("seed,p_s", [(1, 1.0), (2, 1.0), (5, 1.0), (6, 0.7)])
+def test_probe_matches_traced_reference(protocol, variant, seed, p_s):
+    """The untraced probe against a traced engine of the same run config,
+    driven the same way: ring-open times and per-ring sends agree exactly."""
+    probe = probe_discovery(protocol, variant, seed, n_nodes=30,
+                            arena=PROBE_ARENA, p_s=p_s)
+    cfg = RunConfig(protocol=protocol, variant=variant, n_nodes=30,
+                    arena=PROBE_ARENA, v_max=0.0, pause_time=0.0,
+                    duration=sum(probe.waits) + 1.0, warmup=0.0,
+                    traffic_pairs=0, p_s=p_s, seed=seed, trace=True)
+    engine = Engine(cfg)
+    engine.schedule_in(0.0, engine.nodes[0].request_route, 30, 0.0)
+    engine.run()
+
+    opened = _own_rreq_sends(engine.trace, 0)
+    assert len(opened) == len(probe.ring_ttls)
+    assert probe.emit_times == tuple(t for t, _ in opened)
+    # every forwarder's send carries the request tag q<orig>.<req_id>r<ttl>
+    per_request: dict = {}
+    for _, kind, _, pkt_kind, _, _, _, tag in engine.trace:
+        if kind == "send" and pkt_kind == "RREQ":
+            request = tag.split("r")[0]
+            per_request[request] = per_request.get(request, 0) + 1
+    assert probe.sim_counts == tuple(per_request[tag.split("r")[0]]
+                                     for _, tag in opened)
+    if p_s == 1.0:
+        assert probe.sim_counts == probe.census_counts
+
+
+def test_local_repair_records_its_request(monkeypatch):
+    """AODV forwarders that repair locally record their repair requests; every
+    node's rreq_opened equals its own-request send times in the trace."""
+    repairs = []
+    real = AodvNode._start_repair
+
+    def spy(self, dest, now, pkt=None):
+        # a repair started for a held data packet is a forwarder's repair
+        if dest not in self.repairs and pkt is not None:
+            repairs.append((self.nid, now, len(self.rreq_opened)))
+        real(self, dest, now, pkt)
+
+    monkeypatch.setattr(AodvNode, "_start_repair", spy)
+    cfg = RunConfig(protocol=Protocol.AODV, variant=Variant.ERS1, n_nodes=30,
+                    arena=Arena(800.0, 800.0, 180.0), v_max=20.0,
+                    pause_time=0.0, duration=20.0, warmup=2.0,
+                    traffic_pairs=5, seed=3, trace=True)
+    engine = Engine(cfg)
+    engine.run()
+    assert repairs
+    for nid, now, req_id in repairs:
+        assert engine.nodes[nid].rreq_opened[req_id] == now
+    for node in engine.nodes:
+        assert node.rreq_opened == [t for t, _ in
+                                    _own_rreq_sends(engine.trace, node.nid)]
 
 
 def test_analytic_compare_requires_static():
