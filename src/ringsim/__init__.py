@@ -26,14 +26,12 @@ from .analytics import (
 from .config import ConfigError, ScenarioConfig, parse_config, parse_config_text
 from .engine import (
     Engine,
-    LinkModel,
     MetricsRecord,
     RunConfig,
     compute_e2ed,
     compute_nrl,
     compute_throughput,
     format_trace,
-    run,
 )
 from .experiment import (
     ProbeResult,

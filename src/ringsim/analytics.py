@@ -28,6 +28,11 @@ class Variant(Enum):
     ERS2 = "ers2"  # enlarged rings, retuned timers
 
 
+RREQ_RETRIES = 2           # extra network-wide AODV rings after the first
+TIMEOUT_BUFFER = 2.0       # hops of slack in the hop-by-hop reply timeout
+DISCOVERY_HOP_LIMIT = 255  # TTL of DSR's network-wide ring
+
+
 class InsufficientProfileError(ValueError):
     """A connectivity profile has fewer per-hop degrees than the query needs."""
 
@@ -43,27 +48,22 @@ class ErsParams:
     ``net_diameter`` is the escalation sequence of network-wide TTL values
     used once the threshold is exceeded: a single value for AODV, two or
     three steps for DYMO.  DSR ignores the ramp fields and searches with
-    ``[nonprop ring, discovery_hop_limit]`` instead.
+    ``[nonprop ring, DISCOVERY_HOP_LIMIT]`` instead.
     """
 
-    hello_interval: float = 1.0
     ttl_start: int = 2
     ttl_increment: int = 2
     ttl_threshold: int = 7
     net_diameter: tuple[int, ...] = (35,)
     node_traversal_time: float = 0.040
     net_traversal_time: float = 5.6
-    rreq_retries: int = 2
     local_add_ttl: int = 2
-    timeout_buffer: float = 2.0
     nonprop_timeout: float = 0.030
-    discovery_hop_limit: int = 255
-    max_main_rexmt: int = 2
     tap_cache_size: int = 1024
 
     def __post_init__(self):
-        for name in ("hello_interval", "node_traversal_time",
-                     "net_traversal_time", "nonprop_timeout"):
+        for name in ("node_traversal_time", "net_traversal_time",
+                     "nonprop_timeout"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.ttl_start > self.ttl_threshold:
@@ -83,29 +83,23 @@ def default_params(protocol: Protocol, variant: Variant) -> ErsParams:
         return ErsParams(
             nonprop_timeout=0.090 if enhanced else 0.030,
             tap_cache_size=256 if enhanced else 1024,
-            discovery_hop_limit=255,
-            max_main_rexmt=2,
         )
     ramp = dict(
         ttl_start=3 if enhanced else 2,
         ttl_increment=3 if enhanced else 2,
         ttl_threshold=9 if enhanced else 7,
         node_traversal_time=0.025 if enhanced else 0.040,
-        hello_interval=1.0,
-        timeout_buffer=2.0,
     )
     if protocol is Protocol.AODV:
         return ErsParams(
             net_diameter=(35,),
             net_traversal_time=1.1 if enhanced else 5.6,
-            rreq_retries=2,
             local_add_ttl=1 if enhanced else 2,
             **ramp,
         )
     return ErsParams(
         net_diameter=(20, 35, 75) if enhanced else (10, 20),
         net_traversal_time=1.1 if enhanced else 1.92,
-        rreq_retries=3,
         **ramp,
     )
 
@@ -136,16 +130,16 @@ def build_schedule(protocol: Protocol, variant: Variant,
 
     AODV and DYMO ramp from ttl_start by ttl_increment while the value stays
     within ttl_threshold, then escalate to their network-wide value(s): AODV
-    repeats its single network-wide ring rreq_retries additional times, DYMO
+    repeats its single network-wide ring RREQ_RETRIES additional times, DYMO
     walks its escalation sequence once.  DSR searches one bounded
     non-propagating ring (TTL 1 default, TTL 3 enhanced) and then the full
-    network at discovery_hop_limit.
+    network at DISCOVERY_HOP_LIMIT.
     """
     if params is None:
         params = default_params(protocol, variant)
     if protocol is Protocol.DSR:
         first = 3 if variant is Variant.ERS2 else 1
-        rings = (first, params.discovery_hop_limit)
+        rings = (first, DISCOVERY_HOP_LIMIT)
     else:
         ramp = []
         ttl = params.ttl_start
@@ -153,7 +147,7 @@ def build_schedule(protocol: Protocol, variant: Variant,
             ramp.append(ttl)
             ttl += params.ttl_increment
         if protocol is Protocol.AODV:
-            rings = tuple(ramp) + params.net_diameter * (1 + params.rreq_retries)
+            rings = tuple(ramp) + params.net_diameter * (1 + RREQ_RETRIES)
         else:
             rings = tuple(ramp) + params.net_diameter
     return TtlSchedule(rings=rings, protocol=protocol, variant=variant)
@@ -295,7 +289,7 @@ def ring_traversal_wait(ttl: int, params: ErsParams) -> float:
     """Per-ring reply timeout for the hop-by-hop protocols: 2*node_traversal*(ttl+buffer)."""
     if ttl < 1:
         raise ValueError("ttl must be >= 1")
-    return 2.0 * params.node_traversal_time * (ttl + params.timeout_buffer)
+    return 2.0 * params.node_traversal_time * (ttl + TIMEOUT_BUFFER)
 
 
 @dataclass(frozen=True)

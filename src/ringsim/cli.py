@@ -15,12 +15,7 @@ from .protocols import discovery_rings, ring_wait
 def _cmd_run(args) -> int:
     scenario = parse_config(args.config)
     out_dir = args.out or scenario.out_dir
-    trace_dir = None
-    if args.trace:
-        trace_dir = os.path.join(out_dir, "traces")
-        os.makedirs(trace_dir, exist_ok=True)
-    else:
-        os.makedirs(out_dir, exist_ok=True)
+    trace_dir = os.path.join(out_dir, "traces") if args.trace else None
     rows = run_sweep(scenario, parallel=args.parallel, trace_dir=trace_dir)
     csv_path, summary_path = emit_report(rows, out_dir)
     with open(summary_path, "r", encoding="utf-8") as handle:

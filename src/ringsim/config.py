@@ -38,37 +38,18 @@ class ScenarioConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        problems = []
-        if self.nodes < 1:
-            problems.append("nodes must be >= 1")
-        if self.arena_width <= 0 or self.arena_height <= 0:
-            problems.append("arena dimensions must be > 0")
-        if self.radio_range <= 0:
-            problems.append("radio_range must be > 0")
-        if self.v_max < 0:
-            problems.append("v_max must be >= 0")
-        if not self.pause_times or any(p < 0 for p in self.pause_times):
-            problems.append("pause_times must be non-empty and >= 0")
-        if self.duration <= self.warmup:
-            problems.append("duration must exceed warmup")
-        if self.warmup < 0:
-            problems.append("warmup must be >= 0")
-        if self.traffic_pairs < 0:
-            problems.append("traffic_pairs must be >= 0")
-        if self.traffic_rate <= 0:
-            problems.append("traffic_rate must be > 0")
-        if self.packet_size < 1:
-            problems.append("packet_size must be >= 1")
-        if not self.protocols:
-            problems.append("protocols must be non-empty")
-        if not self.variants:
-            problems.append("variants must be non-empty")
-        if not self.seeds:
-            problems.append("seeds must be non-empty")
-        if not 0.0 <= self.p_s <= 1.0:
-            problems.append("p_s must lie in [0, 1]")
+        problems = [f"{name} must be non-empty"
+                    for name in ("pause_times", "protocols", "variants", "seeds")
+                    if not getattr(self, name)]
         if problems:
             raise ConfigError("invalid scenario: " + "; ".join(problems))
+        # every other value is checked as the cells will be built from it
+        for pause_time in self.pause_times:
+            try:
+                self.to_run_config(self.protocols[0], self.variants[0],
+                                   pause_time, self.seeds[0])
+            except ValueError as exc:
+                raise ConfigError(f"invalid scenario: {exc}") from None
 
     @property
     def arena(self) -> Arena:

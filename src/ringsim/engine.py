@@ -13,9 +13,9 @@ import heapq
 import random
 from dataclasses import dataclass, field
 
-from .analytics import ErsParams, Protocol, Variant, default_params
+from .analytics import Protocol, Variant, default_params
 from .packets import CONTROL_KINDS, DATA_SIZE, DataInfo, Packet
-from .protocols import NODE_CLASSES
+from .protocols import HELLO_INTERVAL, NODE_CLASSES
 from .topology import (
     Arena,
     Graph,
@@ -29,17 +29,6 @@ BANDWIDTH = 2_000_000.0   # bits per second on every link
 HOP_LATENCY = 0.001       # seconds of processing per hop
 MOBILITY_TICK = 0.1       # seconds between waypoint steps and neighbor recomputes
 DATA_HOP_LIMIT = 64       # initial TTL of a data packet
-
-
-@dataclass(frozen=True)
-class LinkModel:
-    """2 Mbps broadcast links: delay = serialization + per-hop processing."""
-
-    bandwidth: float = BANDWIDTH
-    processing_delay: float = HOP_LATENCY
-
-    def delay(self, size: int) -> float:
-        return size * 8 / self.bandwidth + self.processing_delay
 
 
 @dataclass(frozen=True)
@@ -58,16 +47,15 @@ class RunConfig:
     p_s: float = 1.0
     seed: int = 1
     trace: bool = False
-    params: ErsParams | None = None
 
     def __post_init__(self):
         problems = []
         if self.n_nodes < 1:
             problems.append("n_nodes must be >= 1")
-        if self.duration <= 0:
-            problems.append("duration must be > 0")
-        if not 0 <= self.warmup < self.duration:
-            problems.append("warmup must lie in [0, duration)")
+        if self.duration <= self.warmup:
+            problems.append("duration must exceed warmup")
+        if self.warmup < 0:
+            problems.append("warmup must be >= 0")
         if self.traffic_pairs < 0:
             problems.append("traffic_pairs must be >= 0")
         if self.traffic_pairs > 0 and self.n_nodes < 2:
@@ -136,9 +124,7 @@ class Engine:
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
-        self.link = LinkModel()
-        self.params = config.params or default_params(config.protocol,
-                                                      config.variant)
+        self.params = default_params(config.protocol, config.variant)
         self.metrics = MetricsRecord()
         self.trace: list[tuple] | None = [] if config.trace else None
 
@@ -194,7 +180,7 @@ class Engine:
             self.schedule_in(MOBILITY_TICK, self._mobility_tick)
         if cfg.protocol is not Protocol.DSR:
             for node in self.nodes:
-                offset = self._rng_proto.uniform(0, self.params.hello_interval)
+                offset = self._rng_proto.uniform(0, HELLO_INTERVAL)
                 self.schedule_in(offset, self._hello_tick, node.nid)
         for flow in range(cfg.traffic_pairs):
             src = self._rng_traffic.randrange(cfg.n_nodes)
@@ -241,7 +227,7 @@ class Engine:
 
     def _hello_tick(self, nid: int) -> None:
         self.nodes[nid].on_hello_tick(self.now)
-        self.schedule_in(self.params.hello_interval, self._hello_tick, nid)
+        self.schedule_in(HELLO_INTERVAL, self._hello_tick, nid)
 
     def _traffic_tick(self, flow: int, src: int, dst: int, interval: float) -> None:
         pkt = Packet("DATA", self.config.packet_size, src, dst,
@@ -265,7 +251,7 @@ class Engine:
                 self.metrics.rreq_tx[key] = self.metrics.rreq_tx.get(key, 0) + 1
         if self.trace is not None:
             self._trace("send", sender, pkt, self._send_tag(pkt))
-        delay = self.link.delay(pkt.size)
+        delay = pkt.size * 8 / BANDWIDTH + HOP_LATENCY
         if next_hop is None:
             for nb in self.neighbor_lists[sender]:
                 self.schedule_in(delay, self._deliver, nb, pkt, sender)
@@ -363,8 +349,3 @@ def format_trace(records: list[tuple]) -> str:
         for t, kind, node, pkt_kind, src, dst, ttl, reason in records
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def run(config: RunConfig) -> MetricsRecord:
-    """Build an engine, run it to completion, and return its metrics."""
-    return Engine(config).run()

@@ -134,6 +134,8 @@ def run_sweep(scenario: ScenarioConfig, parallel: int = 1,
     sorted cell order no matter how cells execute."""
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
+    if trace_dir is not None:
+        os.makedirs(trace_dir, exist_ok=True)
     tasks = [(scenario, p, v, pause, seed, trace_dir)
              for p, v, pause, seed in sweep_cells(scenario)]
     if parallel > 1 and len(tasks) > 1:

@@ -22,7 +22,6 @@ class RreqInfo:
     ring_ttl: int
     orig_seq: int
     route: tuple[int, ...] = ()  # source-routing protocols accumulate the path
-    repair: bool = False
 
 
 @dataclass(slots=True)

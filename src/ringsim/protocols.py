@@ -35,7 +35,9 @@ from .packets import (
 
 ROUTE_LIFETIME = 10.0      # seconds a route stays valid after it was last used
 QUEUE_LIMIT = 64           # data packets parked per destination awaiting a route
+HELLO_INTERVAL = 1.0       # seconds between a hop-by-hop node's hellos
 HELLO_LOSS_THRESHOLD = 2   # hello intervals of silence before a link is broken
+MAX_MAIN_REXMT = 2         # extra DSR network-wide rings; salvages per packet
 
 
 def discovery_rings(protocol: Protocol, variant: Variant,
@@ -43,13 +45,13 @@ def discovery_rings(protocol: Protocol, variant: Variant,
     """Ring TTLs a discovery attempt actually walks.
 
     For the source-routing model the canonical two-ring schedule is extended
-    with max_main_rexmt extra network-wide retries; the hop-by-hop schedules
+    with MAX_MAIN_REXMT extra network-wide retries; the hop-by-hop schedules
     already carry their retries.
     """
     schedule = build_schedule(protocol, variant, params)
     rings = schedule.rings
     if protocol is Protocol.DSR:
-        rings = rings + (rings[-1],) * params.max_main_rexmt
+        rings = rings + (rings[-1],) * MAX_MAIN_REXMT
     return rings
 
 
@@ -428,7 +430,7 @@ class SourceRouteNode(Node):
             info.pos = 0
             self._dispatch_data(pkt, now)
             return
-        if info.salvage_count < self.params.max_main_rexmt:
+        if info.salvage_count < MAX_MAIN_REXMT:
             alt = self.cache.lookup(self.nid, pkt.dst)
             if alt is not None:
                 info.salvage_count += 1
@@ -572,7 +574,7 @@ class HopByHopNode(Node):
     def _hello_tick(self, now: float) -> None:
         self.engine.send(self.nid, Packet("HELLO", CONTROL_SIZE, self.nid,
                                           BROADCAST, 1, now, None))
-        silence = HELLO_LOSS_THRESHOLD * self.params.hello_interval
+        silence = HELLO_LOSS_THRESHOLD * HELLO_INTERVAL
         broken = [nbr for nbr, heard in self.last_heard.items()
                   if now - heard > silence]
         for nbr in broken:

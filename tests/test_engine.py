@@ -7,7 +7,6 @@ import pytest
 from ringsim import (
     Arena,
     Engine,
-    LinkModel,
     MetricsRecord,
     Protocol,
     RunConfig,
@@ -17,7 +16,7 @@ from ringsim import (
     compute_throughput,
     format_trace,
 )
-from ringsim.packets import CONTROL_KINDS
+from ringsim.packets import BROADCAST, CONTROL_KINDS, Packet
 
 
 def static_config(**overrides):
@@ -30,11 +29,17 @@ def static_config(**overrides):
 
 
 def test_link_model_serialization_delay():
-    link = LinkModel(bandwidth=2_000_000.0, processing_delay=0.0)
-    assert link.delay(512) == 512 * 8 / 2_000_000.0
-    assert link.delay(512) == pytest.approx(0.002048)
-    with_processing = LinkModel(bandwidth=2_000_000.0, processing_delay=0.001)
-    assert with_processing.delay(512) == pytest.approx(0.003048)
+    # a silent DSR pair: the only event is the one broadcast sent below
+    engine = Engine(static_config(protocol=Protocol.DSR,
+                                  arena=Arena(100.0, 100.0, 250.0),
+                                  traffic_pairs=0, duration=1.0))
+    arrivals = []
+    engine.nodes[1].on_packet = lambda pkt, frm, now: arrivals.append(now)
+    hello = Packet("HELLO", 512, 0, BROADCAST, 1, 0.0)
+    engine.schedule_in(0.0, engine.send, 0, hello)
+    engine.run()
+    assert arrivals == [512 * 8 / 2_000_000.0 + 0.001]
+    assert arrivals[0] == pytest.approx(0.003048)
 
 
 def test_config_validation_messages():

@@ -16,6 +16,7 @@ from ringsim import (
     ScenarioConfig,
     Variant,
     analytic_compare,
+    parse_config,
     parse_config_text,
     read_results_csv,
     rows_to_csv_text,
@@ -74,10 +75,41 @@ def test_config_single_pause_cell():
     ("pause_times = 0, 50\n", "list"),
     ("protocols = [olsr]\n", "one of"),
     ("duration = 40\nwarmup = 50\n", "duration must exceed warmup"),
+    # value checks live in RunConfig and Arena; a scenario is checked as its
+    # cells will be built
+    ("nodes = 0\n", "n_nodes must be >= 1"),
+    ("arena_width = 0\n", "arena dimensions and radio range must be > 0"),
+    ("radio_range = -5\n", "arena dimensions and radio range must be > 0"),
+    ("v_max = -1\n", "v_max must be >= 0"),
+    ("pause_times = [0, -10]\n", "pause_time must be >= 0"),
+    ("warmup = -1\n", "warmup must be >= 0"),
+    ("traffic_pairs = -1\n", "traffic_pairs must be >= 0"),
+    ("traffic_rate = 0\n", "traffic_rate must be > 0"),
+    ("packet_size = 0\n", "packet_size must be >= 1"),
+    ("p_s = 1.5\n", r"p_s must lie in \[0, 1\]"),
+    ("nodes = 1\n", "traffic_pairs needs at least 2 nodes"),
 ])
 def test_config_rejects_bad_input(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         parse_config_text(text)
+
+
+def test_config_accepts_one_node_without_traffic():
+    cfg = parse_config_text("nodes = 1\ntraffic_pairs = 0\n")
+    assert (cfg.nodes, cfg.traffic_pairs) == (1, 0)
+
+
+@pytest.mark.parametrize("name", ["pause_times", "protocols", "variants", "seeds"])
+def test_scenario_rejects_empty_list(name):
+    # the parser never yields an empty list; only direct construction can
+    with pytest.raises(ConfigError, match=f"{name} must be non-empty"):
+        ScenarioConfig(**{name: ()})
+
+
+def test_example_config_is_the_default():
+    path = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "scenario-example.cfg")
+    assert parse_config(path) == ScenarioConfig()
 
 
 def test_config_error_carries_line_number():
@@ -160,9 +192,12 @@ def test_sweep_rejects_parallel_below_one(parallel, tmp_path, capsys):
     config = tmp_path / "tiny.cfg"
     config.write_text("nodes = 8\nprotocols = [dymo]\nseeds = [1]\n",
                       encoding="utf-8")
-    assert cli_main(["run", "--config", str(config), "--out",
-                     str(tmp_path / "out"), "--parallel", str(parallel)]) == 2
-    assert "error: parallel must be >= 1" in capsys.readouterr().err
+    out_dir = tmp_path / "out"
+    for flags in ([], ["--trace"]):
+        assert cli_main(["run", "--config", str(config), "--out", str(out_dir),
+                         "--parallel", str(parallel)] + flags) == 2
+        assert "error: parallel must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 # ------------------------------------------------------------------- reports
@@ -348,6 +383,34 @@ def test_cli_run_and_compare(tmp_path, capsys):
         "seeds = [1]\n", encoding="utf-8")
     assert cli_main(["compare", "--config", str(static)]) == 0
     assert "err%" in capsys.readouterr().out
+
+
+def test_cli_run_writes_one_trace_per_cell(tmp_path, capsys):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(
+        "nodes = 6\narena_width = 300\narena_height = 300\n"
+        "radio_range = 150\nv_max = 0\npause_times = [0, 5]\nduration = 3\n"
+        "warmup = 0\ntraffic_pairs = 1\nprotocols = [aodv]\n"
+        "variants = [ers1, ers2]\nseeds = [1]\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out_dir),
+                     "--trace"]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(out_dir / "traces")) == [
+        f"trace_aodv_{variant}_p{pause}_s1.txt"
+        for variant in ("ers1", "ers2") for pause in (0, 5)]
+    for name in os.listdir(out_dir / "traces"):
+        assert (out_dir / "traces" / name).read_text(encoding="utf-8")
+
+
+def test_cli_rejects_one_node_with_traffic(tmp_path, capsys):
+    config = tmp_path / "one.cfg"
+    config.write_text("nodes = 1\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out_dir),
+                     "--trace"]) == 2
+    assert "traffic_pairs" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):
