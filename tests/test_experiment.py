@@ -363,6 +363,22 @@ def test_cli_schedule(capsys):
     assert "0.320" in out
 
 
+GOLDEN_SCHEDULE_SHA256 = (
+    "5be02a4e568a46646bdbd24815df0b3068942fadf059e5321f3dde88e39621a2")
+
+
+def test_golden_schedule_output(capsys):
+    """Exact pin on `ringsim schedule` for every protocol x variant: the
+    schedule, the discovery-layer rings and each ring's wait, as printed."""
+    digest = hashlib.sha256()
+    for protocol in Protocol:
+        for variant in Variant:
+            assert cli_main(["schedule", "--protocol", protocol.value,
+                             "--variant", variant.value]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GOLDEN_SCHEDULE_SHA256
+
+
 def test_cli_run_and_compare(tmp_path, capsys):
     config = tmp_path / "tiny.cfg"
     config.write_text(
