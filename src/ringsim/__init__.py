@@ -45,7 +45,7 @@ from .experiment import (
     summarize,
 )
 from .packets import Packet
-from .protocols import Node, RouteCache, RouteEntry, discovery_rings, ring_wait
+from .protocols import Node, RouteCache, RouteEntry
 from .topology import (
     Arena,
     Graph,

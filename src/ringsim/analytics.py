@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Sequence
 
 
@@ -109,8 +110,6 @@ class TtlSchedule:
     """Ordered TTL values a discovery walks through, last ring(s) network-wide."""
 
     rings: tuple[int, ...]
-    protocol: Protocol
-    variant: Variant
 
     def __post_init__(self):
         if not self.rings:
@@ -120,12 +119,9 @@ class TtlSchedule:
         if min(self.rings) < 1:
             raise InvalidScheduleError("ring TTLs must be >= 1")
 
-    def __len__(self) -> int:
-        return len(self.rings)
 
-
-def build_schedule(protocol: Protocol, variant: Variant,
-                   params: ErsParams | None = None) -> TtlSchedule:
+@cache
+def build_schedule(protocol: Protocol, variant: Variant) -> TtlSchedule:
     """Expand the ring constants into the concrete TTL sequence.
 
     AODV and DYMO ramp from ttl_start by ttl_increment while the value stays
@@ -134,9 +130,10 @@ def build_schedule(protocol: Protocol, variant: Variant,
     walks its escalation sequence once.  DSR searches one bounded
     non-propagating ring (TTL 1 default, TTL 3 enhanced) and then the full
     network at DISCOVERY_HOP_LIMIT.
+
+    Cached: every node asks for its schedule, and schedules are immutable.
     """
-    if params is None:
-        params = default_params(protocol, variant)
+    params = default_params(protocol, variant)
     if protocol is Protocol.DSR:
         first = 3 if variant is Variant.ERS2 else 1
         rings = (first, DISCOVERY_HOP_LIMIT)
@@ -150,7 +147,7 @@ def build_schedule(protocol: Protocol, variant: Variant,
             rings = tuple(ramp) + params.net_diameter * (1 + RREQ_RETRIES)
         else:
             rings = tuple(ramp) + params.net_diameter
-    return TtlSchedule(rings=rings, protocol=protocol, variant=variant)
+    return TtlSchedule(rings=rings)
 
 
 @dataclass(frozen=True)
@@ -217,9 +214,8 @@ def avg_degree(d_f: Sequence[float], horizon: int) -> float:
     return sum(d_f[:horizon]) / horizon
 
 
-def ring_cost_simple(rings: RingPopulation | Sequence[int], k: int) -> int:
+def ring_cost_simple(counts: Sequence[int], k: int) -> int:
     """Exact transmission count of one TTL-k ring: source plus everyone within k-1 hops."""
-    counts = rings.counts if isinstance(rings, RingPopulation) else rings
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(counts) < k - 1:

@@ -9,7 +9,7 @@ import sys
 from .analytics import Protocol, Variant, build_schedule, default_params
 from .config import ConfigError, parse_config
 from .experiment import analytic_compare, emit_report, run_sweep
-from .protocols import discovery_rings, ring_wait
+from .protocols import NODE_CLASSES
 
 
 def _cmd_run(args) -> int:
@@ -39,9 +39,10 @@ def _cmd_compare(args) -> int:
 def _cmd_schedule(args) -> int:
     protocol = Protocol(args.protocol.lower())
     variant = Variant(args.variant.lower())
+    node_class = NODE_CLASSES[protocol]
     params = default_params(protocol, variant)
-    schedule = build_schedule(protocol, variant, params)
-    rings = discovery_rings(protocol, variant, params)
+    schedule = build_schedule(protocol, variant)
+    rings = node_class.discovery_rings(variant)
     print(f"{protocol.value} {variant.value} TTL schedule: "
           + " ".join(str(t) for t in schedule.rings))
     if rings != schedule.rings:
@@ -49,7 +50,7 @@ def _cmd_schedule(args) -> int:
               + " ".join(str(t) for t in rings))
     cumulative = 0.0
     for i, ttl in enumerate(rings):
-        wait = ring_wait(protocol, params, i, ttl)
+        wait = node_class.ring_wait(params, i, ttl)
         cumulative += wait
         print(f"  ring {i + 1}: ttl={ttl:<4d} wait={wait:.3f}s "
               f"cumulative={cumulative:.3f}s")

@@ -138,9 +138,8 @@ class Engine:
         self._positions = list(self.graph0.positions)
         self._set_neighbors([list(row) for row in self.graph0.neighbors])
 
-        node_class = NODE_CLASSES[config.protocol]
-        self.nodes = [node_class(i, config.protocol, config.variant,
-                                 self.params, self)
+        self.node_class = NODE_CLASSES[config.protocol]
+        self.nodes = [self.node_class(i, config.variant, self.params, self)
                       for i in range(config.n_nodes)]
         # DATA packets handed to the link and not yet delivered, by identity
         self._data_in_flight: dict[int, Packet] = {}
@@ -178,7 +177,7 @@ class Engine:
         cfg = self.config
         if self._waypoints is not None:
             self.schedule_in(MOBILITY_TICK, self._mobility_tick)
-        if cfg.protocol is not Protocol.DSR:
+        if self.node_class.sends_hellos:
             for node in self.nodes:
                 offset = self._rng_proto.uniform(0, HELLO_INTERVAL)
                 self.schedule_in(offset, self._hello_tick, node.nid)
@@ -257,8 +256,7 @@ class Engine:
                 self.schedule_in(delay, self._deliver, nb, pkt, sender)
             return
         if next_hop in self.neighbor_sets[sender]:
-            if self.config.protocol is Protocol.DSR \
-                    and pkt.kind in ("DATA", "RREP"):
+            if self.node_class.promiscuous and pkt.kind in ("DATA", "RREP"):
                 # promiscuous listeners must run before the next hop forwards
                 for nb in self.neighbor_lists[sender]:
                     if nb != next_hop:

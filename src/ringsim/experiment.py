@@ -27,7 +27,7 @@ from .engine import (
     compute_throughput,
     format_trace,
 )
-from .protocols import discovery_rings, ring_wait
+from .protocols import NODE_CLASSES
 from .topology import Arena, bfs_rings, connectivity_profile, generate_topology
 
 
@@ -290,9 +290,10 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
     the per-ring transmission counts can be compared with the hop-census
     prediction ring by ring.
     """
+    node_class = NODE_CLASSES[protocol]
     params = default_params(protocol, variant)
-    rings = discovery_rings(protocol, variant, params)
-    waits = tuple(ring_wait(protocol, params, i, ttl)
+    rings = node_class.discovery_rings(variant)
+    waits = tuple(node_class.ring_wait(params, i, ttl)
                   for i, ttl in enumerate(rings))
     cfg = RunConfig(protocol=protocol, variant=variant, n_nodes=n_nodes,
                     arena=arena, v_max=0.0, pause_time=0.0,

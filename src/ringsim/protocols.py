@@ -8,8 +8,12 @@ signals; the node calls back into the engine to transmit packets and arm timers.
 routing families plug into its hooks: :class:`SourceRouteNode` (DSR: route
 cache, salvaging, overhearing), :class:`HopByHopNode` (DYMO: route table,
 route errors, hellos) and its subclass :class:`AodvNode` (intermediate
-replies, local repair).  The engine-facing ``send_data`` and ``on_*`` handlers
-live on :class:`Node` alone, so wrapping them there instruments every family.
+replies, local repair).  Each class names its ``protocol`` and carries that
+family's ring policy (``discovery_rings``, ``ring_wait``) and the engine flags
+``promiscuous`` (deliver overheard unicasts to ``_overhear``) and
+``sends_hellos`` (arm ``_hello_tick``).  The engine-facing ``send_data`` and
+``on_*`` handlers live on :class:`Node` alone, so wrapping them there
+instruments every family.
 """
 
 from __future__ import annotations
@@ -38,33 +42,6 @@ QUEUE_LIMIT = 64           # data packets parked per destination awaiting a rout
 HELLO_INTERVAL = 1.0       # seconds between a hop-by-hop node's hellos
 HELLO_LOSS_THRESHOLD = 2   # hello intervals of silence before a link is broken
 MAX_MAIN_REXMT = 2         # extra DSR network-wide rings; salvages per packet
-
-
-def discovery_rings(protocol: Protocol, variant: Variant,
-                    params: ErsParams) -> tuple[int, ...]:
-    """Ring TTLs a discovery attempt actually walks.
-
-    For the source-routing model the canonical two-ring schedule is extended
-    with MAX_MAIN_REXMT extra network-wide retries; the hop-by-hop schedules
-    already carry their retries.
-    """
-    schedule = build_schedule(protocol, variant, params)
-    rings = schedule.rings
-    if protocol is Protocol.DSR:
-        rings = rings + (rings[-1],) * MAX_MAIN_REXMT
-    return rings
-
-
-def ring_wait(protocol: Protocol, params: ErsParams, ring_index: int,
-              ttl: int) -> float:
-    """Reply timeout armed for one ring.
-
-    Source routing doubles a fixed timeout per ring; the hop-by-hop models
-    scale with the ring TTL, capped by the network traversal budget.
-    """
-    if protocol is Protocol.DSR:
-        return params.nonprop_timeout * (2 ** ring_index)
-    return min(ring_traversal_wait(ttl, params), params.net_traversal_time)
 
 
 @dataclass
@@ -151,20 +128,22 @@ class Node:
     packet), ``_learn_reverse`` (what a passing request teaches; returns the
     accumulated source route, if the family keeps one), ``_reply_as_target``,
     ``_reply_en_route`` (answer from intermediate state; True if it did),
-    ``_handle_rrep``, ``_handle_rerr`` and ``_link_failed``, plus
-    ``_overhear`` or ``_hello_tick`` where the engine calls for them.
+    ``_handle_rrep``, ``_handle_rerr``, ``_link_failed`` and ``ring_wait``
+    (reply timeout armed for one ring), plus ``_overhear`` or ``_hello_tick``
+    where the class sets ``promiscuous`` / ``sends_hellos``.
     """
 
+    protocol: Protocol
+    promiscuous = False    # the engine delivers overheard unicasts to it
+    sends_hellos = False   # the engine arms a hello tick every HELLO_INTERVAL
     cache: RouteCache | None = None
     _rreq_route: tuple[int, ...] = ()   # path a fresh request starts with
 
-    def __init__(self, nid: int, protocol: Protocol, variant: Variant,
-                 params: ErsParams, engine):
+    def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
         self.nid = nid
-        self.protocol = protocol
         self.params = params
         self.engine = engine
-        self.rings = discovery_rings(protocol, variant, params)
+        self.rings = self.discovery_rings(variant)
         self.seq = 0
         # send time of each request this node originated; index = request id
         self.rreq_opened: list[float] = []
@@ -188,7 +167,7 @@ class Node:
         elif kind == "RERR":
             self._handle_rerr(pkt, frm, now)
         elif kind == "HELLO":
-            # hellos exist only where the engine arms hello ticks
+            # only classes that set sends_hellos send them, and keep last_heard
             self.last_heard[frm] = now
         elif kind == "DATA":
             self._handle_data(pkt, frm, now)
@@ -241,6 +220,11 @@ class Node:
 
     # ------------------------------------------------------------- discovery
 
+    @classmethod
+    def discovery_rings(cls, variant: Variant) -> tuple[int, ...]:
+        """Ring TTLs a discovery attempt actually walks."""
+        return build_schedule(cls.protocol, variant).rings
+
     def request_route(self, dest: int, now: float) -> None:
         """Start a discovery for dest unless one is already pending."""
         if dest in self.pending:
@@ -253,7 +237,7 @@ class Node:
     def _emit_ring(self, state: DiscoveryState, now: float) -> None:
         ttl = state.rings[state.ring_index]
         self._send_rreq(state.destination, ttl, now)
-        wait = ring_wait(self.protocol, self.params, state.ring_index, ttl)
+        wait = self.ring_wait(self.params, state.ring_index, ttl)
         state.wait_deadline = now + wait
         state.generation += 1
         self.engine.schedule_in(wait, self._discovery_timeout,
@@ -322,12 +306,25 @@ class Node:
 class SourceRouteNode(Node):
     """DSR model: source routes from a route cache, salvaging, overhearing."""
 
-    def __init__(self, nid: int, protocol: Protocol, variant: Variant,
-                 params: ErsParams, engine):
-        super().__init__(nid, protocol, variant, params, engine)
+    protocol = Protocol.DSR
+    promiscuous = True
+
+    def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
+        super().__init__(nid, variant, params, engine)
         self.cache = RouteCache(params.tap_cache_size)
         self._rreq_route = (nid,)
         self._grat_sent: dict[tuple[int, int], float] = {}
+
+    @classmethod
+    def discovery_rings(cls, variant: Variant) -> tuple[int, ...]:
+        """The two-ring schedule plus MAX_MAIN_REXMT network-wide retries."""
+        rings = super().discovery_rings(variant)
+        return rings + (rings[-1],) * MAX_MAIN_REXMT
+
+    @staticmethod
+    def ring_wait(params: ErsParams, ring_index: int, ttl: int) -> float:
+        """A fixed reply timeout, doubled per ring."""
+        return params.nonprop_timeout * (2 ** ring_index)
 
     def _dispatch_data(self, pkt: Packet, now: float) -> None:
         info = pkt.info
@@ -479,12 +476,19 @@ class HopByHopNode(Node):
     drops the packet and reports the destination unreachable.
     """
 
-    def __init__(self, nid: int, protocol: Protocol, variant: Variant,
-                 params: ErsParams, engine):
-        super().__init__(nid, protocol, variant, params, engine)
+    protocol = Protocol.DYMO
+    sends_hellos = True
+
+    def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
+        super().__init__(nid, variant, params, engine)
         self.routes: dict[int, RouteEntry] = {}
         self._last_hops: dict[int, int] = {}
         self.last_heard: dict[int, float] = {}
+
+    @staticmethod
+    def ring_wait(params: ErsParams, ring_index: int, ttl: int) -> float:
+        """Scales with the ring TTL, capped by the network traversal budget."""
+        return min(ring_traversal_wait(ttl, params), params.net_traversal_time)
 
     def _dispatch_data(self, pkt: Packet, now: float) -> None:
         dest = pkt.dst
@@ -626,9 +630,10 @@ class HopByHopNode(Node):
 class AodvNode(HopByHopNode):
     """AODV model: intermediate replies from confirmed routes, local repair."""
 
-    def __init__(self, nid: int, protocol: Protocol, variant: Variant,
-                 params: ErsParams, engine):
-        super().__init__(nid, protocol, variant, params, engine)
+    protocol = Protocol.AODV
+
+    def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
+        super().__init__(nid, variant, params, engine)
         self.repairs: dict[int, RepairState] = {}
 
     def _reply_en_route(self, info: RreqInfo, path: tuple, now: float) -> bool:
@@ -657,7 +662,7 @@ class AodvNode(HopByHopNode):
             ttl = max(1, self._last_hops.get(dest, 1)) + self.params.local_add_ttl
             self.seq += 1
             self._send_rreq(dest, ttl, now)
-            self.engine.schedule_in(ring_wait(self.protocol, self.params, 0, ttl),
+            self.engine.schedule_in(self.ring_wait(self.params, 0, ttl),
                                     self._repair_timeout, dest, state.generation)
         if pkt is not None:
             state.buffer.append(pkt)
@@ -688,7 +693,4 @@ class AodvNode(HopByHopNode):
 
 
 NODE_CLASSES: dict[Protocol, type[Node]] = {
-    Protocol.AODV: AodvNode,
-    Protocol.DSR: SourceRouteNode,
-    Protocol.DYMO: HopByHopNode,
-}
+    cls.protocol: cls for cls in (AodvNode, SourceRouteNode, HopByHopNode)}

@@ -62,9 +62,9 @@ def test_enhanced_first_ring_larger(protocol):
 
 def test_empty_schedule_rejected():
     with pytest.raises(InvalidScheduleError):
-        TtlSchedule(rings=(), protocol=Protocol.AODV, variant=Variant.ERS1)
+        TtlSchedule(rings=())
     with pytest.raises(InvalidScheduleError):
-        TtlSchedule(rings=(4, 2), protocol=Protocol.AODV, variant=Variant.ERS1)
+        TtlSchedule(rings=(4, 2))
 
 
 def test_params_invariants():
@@ -184,13 +184,13 @@ def test_ring_cost_ttl_example():
 
 def test_total_search_cost_single_ring():
     profile = ConnectivityProfile(p_s=1.0, d_avg=4.0, d_f=())
-    schedule = TtlSchedule((1,), Protocol.AODV, Variant.ERS1)
+    schedule = TtlSchedule((1,))
     assert total_search_cost(schedule, profile) == 4.0
 
 
 def test_total_search_cost_two_rings():
     profile = ConnectivityProfile(p_s=1.0, d_avg=4.0, d_f=(3.0,))
-    schedule = TtlSchedule((1, 2), Protocol.AODV, Variant.ERS1)
+    schedule = TtlSchedule((1, 2))
     assert total_search_cost(schedule, profile) == 20.0
 
 
@@ -210,7 +210,7 @@ def test_total_search_cost_monotone_in_rings():
         rings = sorted(rng.randint(1, 10) for _ in range(4))
         costs = [
             total_search_cost(
-                TtlSchedule(tuple(rings[:k]), Protocol.AODV, Variant.ERS1),
+                TtlSchedule(tuple(rings[:k])),
                 profile)
             for k in range(1, 5)
         ]

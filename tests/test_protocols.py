@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ringsim import Arena, Engine, Protocol, RunConfig, Variant, default_params
 from ringsim.packets import DataInfo, Packet, RreqInfo
-from ringsim.protocols import (NODE_CLASSES, Node, RouteCache, discovery_rings,
-                               ring_wait)
+from ringsim.protocols import (NODE_CLASSES, AodvNode, HopByHopNode, Node,
+                               RouteCache, SourceRouteNode)
 
 
 class FakeEngine:
@@ -56,7 +56,7 @@ class FakeEngine:
 def make_node(protocol, variant, nid=0):
     engine = FakeEngine()
     params = default_params(protocol, variant)
-    node = NODE_CLASSES[protocol](nid, protocol, variant, params, engine)
+    node = NODE_CLASSES[protocol](nid, variant, params, engine)
     return node, engine
 
 
@@ -76,21 +76,19 @@ def rreq_packet(orig, target, req_id, ttl, hop_count=0, route=(), orig_seq=1,
 # ------------------------------------------------------------ ring sequences
 
 def test_discovery_rings_extend_dsr_retries():
-    params = default_params(Protocol.DSR, Variant.ERS1)
-    assert discovery_rings(Protocol.DSR, Variant.ERS1, params) == (1, 255, 255, 255)
-    params = default_params(Protocol.AODV, Variant.ERS1)
-    assert discovery_rings(Protocol.AODV, Variant.ERS1, params) == (2, 4, 6, 35, 35, 35)
+    assert SourceRouteNode.discovery_rings(Variant.ERS1) == (1, 255, 255, 255)
+    assert AodvNode.discovery_rings(Variant.ERS1) == (2, 4, 6, 35, 35, 35)
 
 
 def test_ring_wait_values():
     aodv = default_params(Protocol.AODV, Variant.ERS1)
-    assert ring_wait(Protocol.AODV, aodv, 0, 2) == 0.32
+    assert AodvNode.ring_wait(aodv, 0, 2) == 0.32
     # the network traversal budget caps deep rings
-    assert ring_wait(Protocol.AODV, aodv, 3, 35) == pytest.approx(2.96)
+    assert AodvNode.ring_wait(aodv, 3, 35) == pytest.approx(2.96)
     aodv2 = default_params(Protocol.AODV, Variant.ERS2)
-    assert ring_wait(Protocol.AODV, aodv2, 3, 35) == 1.1
+    assert AodvNode.ring_wait(aodv2, 3, 35) == 1.1
     dsr = default_params(Protocol.DSR, Variant.ERS1)
-    assert [ring_wait(Protocol.DSR, dsr, i, 255) for i in range(3)] \
+    assert [SourceRouteNode.ring_wait(dsr, i, 255) for i in range(3)] \
         == [0.030, 0.060, 0.120]
 
 
@@ -462,6 +460,16 @@ def test_dsr_sends_no_hellos(monkeypatch):
     assert ticks > 0
 
 
+def test_engine_arms_hellos_from_class_flag(monkeypatch):
+    class SilentDymo(HopByHopNode):
+        sends_hellos = False
+
+    monkeypatch.setitem(NODE_CLASSES, Protocol.DYMO, SilentDymo)
+    ticks, metrics = _counted_run(monkeypatch, "on_hello_tick", Protocol.DYMO)
+    assert ticks == 0
+    assert "HELLO" not in metrics.control_tx
+
+
 # ---------------------------------------------------- salvage and gratuitous
 
 def _dsr_data(route, pos, src=0, dst=3, salvage=0):
@@ -531,6 +539,16 @@ def test_overhear_ignored_off_protocol(monkeypatch):
         assert metrics.data_delivered > 0
     heard, _ = _counted_run(monkeypatch, "on_overhear", Protocol.DSR)
     assert heard > 0
+
+
+def test_engine_overhears_from_class_flag(monkeypatch):
+    class DeafDsr(SourceRouteNode):
+        promiscuous = False
+
+    monkeypatch.setitem(NODE_CLASSES, Protocol.DSR, DeafDsr)
+    heard, metrics = _counted_run(monkeypatch, "on_overhear", Protocol.DSR)
+    assert heard == 0
+    assert metrics.data_delivered > 0
 
 
 def test_cache_update_surface():

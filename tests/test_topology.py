@@ -8,9 +8,7 @@ import pytest
 
 from ringsim import (
     Arena,
-    Protocol,
     TtlSchedule,
-    Variant,
     WaypointState,
     bfs_rings,
     connectivity_profile,
@@ -133,24 +131,20 @@ def test_profile_horizon_padding():
     assert profile.d_f == (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
-def _schedule(rings):
-    return TtlSchedule(rings, Protocol.DSR, Variant.ERS1)
-
-
 def test_location_distribution_path():
-    dist = location_distribution(_path_graph(), 0, _schedule((1, 255)))
+    dist = location_distribution(_path_graph(), 0, TtlSchedule((1, 255)))
     assert dist.p == (1 / 3, 2 / 3)
 
 
 def test_location_distribution_first_ring_covers_all():
     graph = graph_from_positions([(0, 0), (1, 0), (0, 1), (1, 1), (0.5, 0.5)], 5.0)
-    dist = location_distribution(graph, 0, _schedule((2, 5)))
+    dist = location_distribution(graph, 0, TtlSchedule((2, 5)))
     assert dist.p == (1.0, 0.0)
 
 
 def test_location_distribution_unreachable_mass():
     graph = graph_from_positions([(0, 0), (5, 0), (900, 0), (905, 0)], 10.0)
-    dist = location_distribution(graph, 0, _schedule((1, 255)))
+    dist = location_distribution(graph, 0, TtlSchedule((1, 255)))
     assert sum(dist.p) < 1.0
     assert sum(dist.p) == pytest.approx(1 / 3)
 
@@ -158,13 +152,13 @@ def test_location_distribution_unreachable_mass():
 def test_location_distribution_single_node():
     with pytest.raises(ValueError):
         location_distribution(graph_from_positions([(0, 0)], 10.0), 0,
-                              _schedule((1, 255)))
+                              TtlSchedule((1, 255)))
 
 
 def test_location_mass_equals_reachable_fraction():
     for seed in range(8):
         graph = generate_topology(seed, 20, Arena(800.0, 800.0, 150.0))
-        dist = location_distribution(graph, 0, _schedule((2, 255)))
+        dist = location_distribution(graph, 0, TtlSchedule((2, 255)))
         reachable = sum(1 for d in hop_distances(graph, 0) if d > 0)
         assert sum(dist.p) == pytest.approx(reachable / (graph.n - 1))
 
