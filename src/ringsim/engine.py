@@ -122,8 +122,10 @@ class Engine:
     def __init__(self, config: RunConfig):
         self.config = config
         self.now = 0.0
-        self._heap: list = []
-        self._seq = 0
+        # pending callbacks: a heap of distinct times, and per time a list of
+        # (fn, args) in scheduling order
+        self._times: list[float] = []
+        self._buckets: dict[float, list[tuple]] = {}
         self.params = default_params(config.protocol, config.variant)
         self.metrics = MetricsRecord()
         self.trace: list[tuple] | None = [] if config.trace else None
@@ -136,7 +138,7 @@ class Engine:
 
         self.graph0: Graph = generate_topology(seed, config.n_nodes, config.arena)
         self._positions = list(self.graph0.positions)
-        self._set_neighbors([list(row) for row in self.graph0.neighbors])
+        self.neighbor_lists = [list(row) for row in self.graph0.neighbors]
 
         self.node_class = NODE_CLASSES[config.protocol]
         self.nodes = [self.node_class(i, config.variant, self.params, self)
@@ -157,18 +159,18 @@ class Engine:
     def schedule_in(self, delay: float, fn, *args) -> None:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
-        self._seq += 1
-
-    def _set_neighbors(self, lists: list[list[int]]) -> None:
-        self.neighbor_lists = lists
-        self.neighbor_sets = [set(row) for row in lists]
+        at = self.now + delay
+        bucket = self._buckets.get(at)
+        if bucket is None:
+            self._buckets[at] = [(fn, args)]
+            heapq.heappush(self._times, at)
+        else:
+            bucket.append((fn, args))
 
     def remove_link(self, a: int, b: int) -> None:
         """Force a link down (test hook; mobility recompute would undo it)."""
         for u, v in ((a, b), (b, a)):
-            if v in self.neighbor_sets[u]:
-                self.neighbor_sets[u].discard(v)
+            if v in self.neighbor_lists[u]:
                 self.neighbor_lists[u].remove(v)
 
     # -------------------------------------------------------------- main loop
@@ -190,11 +192,16 @@ class Engine:
             offset = self._rng_traffic.uniform(0, interval)
             self.schedule_in(offset, self._traffic_tick, flow, src, dst, interval)
 
-        heap = self._heap
-        while heap and heap[0][0] <= cfg.duration:
-            self.now, _, fn, args = heapq.heappop(heap)
-            fn(*args)
-        self.now = cfg.duration
+        # a callback that schedules at the current time appends to the bucket
+        # being iterated, so it runs later in this same pass
+        times, buckets = self._times, self._buckets
+        heappop, duration = heapq.heappop, cfg.duration
+        while times and times[0] <= duration:
+            now = self.now = heappop(times)
+            for fn, args in buckets[now]:
+                fn(*args)
+            del buckets[now]
+        self.now = duration
         self._account_in_flight()
         return self.metrics
 
@@ -220,8 +227,8 @@ class Engine:
             states[i] = waypoint_step(state, MOBILITY_TICK, cfg.pause_time,
                                       cfg.v_max, cfg.arena, self._rng_mobility)
         self._positions = [s.position for s in states]
-        self._set_neighbors(unit_disk_neighbors(self._positions,
-                                                cfg.arena.radio_range))
+        self.neighbor_lists = unit_disk_neighbors(self._positions,
+                                                  cfg.arena.radio_range)
         self.schedule_in(MOBILITY_TICK, self._mobility_tick)
 
     def _hello_tick(self, nid: int) -> None:
@@ -255,7 +262,7 @@ class Engine:
             for nb in self.neighbor_lists[sender]:
                 self.schedule_in(delay, self._deliver, nb, pkt, sender)
             return
-        if next_hop in self.neighbor_sets[sender]:
+        if next_hop in self.neighbor_lists[sender]:
             if self.node_class.promiscuous and pkt.kind in ("DATA", "RREP"):
                 # promiscuous listeners must run before the next hop forwards
                 for nb in self.neighbor_lists[sender]:

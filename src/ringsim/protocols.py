@@ -453,12 +453,10 @@ class SourceRouteNode(Node):
         if len(route) >= 2:
             self.cache.insert(route)
         sender_index = info.pos - 1
-        if sender_index < 0 or sender_index >= len(route):
+        if sender_index < 0 or sender_index >= len(route) \
+                or self.nid not in route:
             return
-        try:
-            own_index = route.index(self.nid)
-        except ValueError:
-            return
+        own_index = route.index(self.nid)
         if own_index > sender_index + 1:
             key = (pkt.src, pkt.dst)
             if now - self._grat_sent.get(key, -1e9) < 1.0:

@@ -1,8 +1,12 @@
 """Event engine tests: link model, metrics, determinism, trace recounts."""
 
 import hashlib
+import heapq
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsim import (
     Arena,
@@ -107,6 +111,124 @@ def test_different_seed_differs():
     assert a != b
 
 
+# --------------------------------------------------------------- event queue
+
+def silent_engine(duration):
+    """An engine whose run schedules nothing of its own (DSR, no traffic)."""
+    return Engine(static_config(protocol=Protocol.DSR, n_nodes=1,
+                                traffic_pairs=0, duration=duration,
+                                trace=False))
+
+
+def test_schedule_in_rejects_negative_delay():
+    engine = silent_engine(1.0)
+    with pytest.raises(ValueError, match="past"):
+        engine.schedule_in(-1e-9, lambda: None)
+
+
+def test_event_at_duration_runs_and_later_one_does_not():
+    engine = silent_engine(1.0)
+    ran = []
+    engine.schedule_in(1.0, ran.append, "at")
+    engine.schedule_in(math.nextafter(1.0, math.inf), ran.append, "after")
+    engine.run()
+    assert ran == ["at"]
+    assert engine.now == 1.0
+
+
+def test_same_time_events_run_in_scheduling_order():
+    engine = silent_engine(1.0)
+    ran = []
+
+    def first():
+        ran.append(("a", engine.now))
+        engine.schedule_in(0.0, lambda: ran.append(("d", engine.now)))
+        engine.schedule_in(1e-17, lambda: ran.append(("e", engine.now)))
+
+    engine.schedule_in(0.5, first)
+    engine.schedule_in(0.5, lambda: ran.append(("b", engine.now)))
+    engine.schedule_in(0.25, lambda: engine.schedule_in(
+        0.25, lambda: ran.append(("c", engine.now))))
+    engine.run()
+    assert ran == [(name, 0.5) for name in "abcde"]
+
+
+class _HeapQueue:
+    """Plain reference event queue: one heap entry (time, seq, fn, args) per
+    scheduled callback, popped while its time is within the duration."""
+
+    def __init__(self, duration):
+        self.duration = duration
+        self.now = 0.0
+        self._heap = []
+        self._seq = 0
+
+    def schedule_in(self, delay, fn, *args):
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
+        self._seq += 1
+
+    def run(self):
+        while self._heap and self._heap[0][0] <= self.duration:
+            self.now, _, fn, args = heapq.heappop(self._heap)
+            fn(*args)
+
+
+_QUEUE_DURATION = 0.75
+
+# how an event picks its delay; "tie" lands on a time scheduled earlier,
+# "end" on the duration itself and "past" one ulp beyond it
+_DELAY_KIND = st.sampled_from(
+    ["zero", "tiny", "tenth", "quarter", "tie", "end", "past"])
+
+# an event is (delay kind, tie pick, events it schedules when it runs)
+_EVENT = st.recursive(
+    st.tuples(_DELAY_KIND, st.integers(0, 15), st.just(())),
+    lambda inner: st.tuples(_DELAY_KIND, st.integers(0, 15),
+                            st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=30)
+
+
+def _dispatch_log(queue, program):
+    """Run `program` on `queue`; return (label, now) for every dispatch."""
+    log = []
+    times = [0.0]   # every time scheduled so far
+
+    def delay_for(kind, pick):
+        now = queue.now
+        if kind == "tie":
+            ahead = [t for t in times if t >= now]
+            return ahead[pick % len(ahead)] - now
+        if kind == "end":
+            return _QUEUE_DURATION - now
+        if kind == "past":
+            return math.nextafter(_QUEUE_DURATION, math.inf) - now
+        return {"zero": 0.0, "tiny": 1e-17, "tenth": 0.1, "quarter": 0.25}[kind]
+
+    def schedule(event):
+        kind, pick, children = event
+        delay = delay_for(kind, pick)
+        label = len(times)
+        times.append(queue.now + delay)
+        queue.schedule_in(delay, fire, label, children)
+
+    def fire(label, children):
+        log.append((label, queue.now))
+        for child in children:
+            schedule(child)
+
+    for event in program:
+        schedule(event)
+    queue.run()
+    return log
+
+
+@settings(max_examples=300)
+@given(program=st.lists(_EVENT, min_size=1, max_size=6))
+def test_engine_queue_matches_heap_reference(program):
+    engine_log = _dispatch_log(silent_engine(_QUEUE_DURATION), program)
+    assert engine_log == _dispatch_log(_HeapQueue(_QUEUE_DURATION), program)
+
+
 # ------------------------------------------------------------------- metrics
 
 def test_throughput_definition():
@@ -193,11 +315,10 @@ def test_data_conservation_under_churn():
 def test_remove_link_is_symmetric():
     cfg = static_config(arena=Arena(100.0, 100.0, 250.0), traffic_pairs=0)
     engine = Engine(cfg)
-    assert 1 in engine.neighbor_sets[0]
+    assert 1 in engine.neighbor_lists[0]
     engine.remove_link(0, 1)
-    assert 1 not in engine.neighbor_sets[0]
-    assert 0 not in engine.neighbor_sets[1]
     assert 1 not in engine.neighbor_lists[0]
+    assert 0 not in engine.neighbor_lists[1]
 
 
 def test_stale_cache_purged_after_mid_run_break():
@@ -210,7 +331,7 @@ def test_stale_cache_purged_after_mid_run_break():
     line = [(i * 100.0 + 10.0, 50.0) for i in range(5)]
     from ringsim.topology import unit_disk_neighbors
     engine._positions = line
-    engine._set_neighbors(unit_disk_neighbors(line, cfg.arena.radio_range))
+    engine.neighbor_lists = unit_disk_neighbors(line, cfg.arena.radio_range)
 
     src, dst = engine.nodes[0], 4
     uid = [0]
