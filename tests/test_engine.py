@@ -377,3 +377,26 @@ def test_golden_exact_output():
                 digest.update(format_trace(engine.trace).encode())
                 digest.update(repr(metrics).encode())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# Recorded like GOLDEN_SHA256.  Paused random-waypoint motion: small arena
+# and fast nodes, so every run has arrivals, pause countdowns and expiries.
+GOLDEN_MOBILITY_SHA256 = (
+    "82f77e2a38db379c83fdda1a422029ac5cd7a6001d9f03a446748df0f8742580")
+
+
+def test_golden_mobility_output():
+    digest = hashlib.sha256()
+    for protocol in Protocol:
+        for pause_time in (0.3, 1.0, 5.0):
+            for seed in (1, 2):
+                cfg = RunConfig(protocol=protocol, variant=Variant.ERS1,
+                                n_nodes=30, arena=Arena(500.0, 500.0, 150.0),
+                                v_max=30.0, pause_time=pause_time,
+                                duration=20.0, warmup=2.0, traffic_pairs=5,
+                                traffic_rate=4.0, seed=seed, trace=True)
+                engine = Engine(cfg)
+                metrics = engine.run()
+                digest.update(format_trace(engine.trace).encode())
+                digest.update(repr(metrics).encode())
+    assert digest.hexdigest() == GOLDEN_MOBILITY_SHA256
