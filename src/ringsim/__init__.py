@@ -56,7 +56,7 @@ from .topology import (
     generate_topology,
     graph_from_positions,
     hop_distances,
-    init_waypoint,
+    init_waypoints,
     location_distribution,
     waypoint_step,
 )

@@ -20,7 +20,7 @@ from .topology import (
     Arena,
     Graph,
     generate_topology,
-    init_waypoint,
+    init_waypoints,
     unit_disk_neighbors,
     waypoint_step,
 )
@@ -137,7 +137,6 @@ class Engine:
         self._rng_proto = random.Random(f"{seed}:proto")
 
         self.graph0: Graph = generate_topology(seed, config.n_nodes, config.arena)
-        self._positions = list(self.graph0.positions)
         self.neighbor_lists = [list(row) for row in self.graph0.neighbors]
 
         self.node_class = NODE_CLASSES[config.protocol]
@@ -146,13 +145,10 @@ class Engine:
         # DATA packets handed to the link and not yet delivered, by identity
         self._data_in_flight: dict[int, Packet] = {}
         self._uid = 0
-        if config.v_max > 0:
-            self._waypoints = [
-                init_waypoint(pos, config.arena, config.v_max, self._rng_mobility)
-                for pos in self._positions
-            ]
-        else:
-            self._waypoints = None
+        # random-waypoint arrays, built only when nodes move
+        self._waypoints = init_waypoints(
+            self.graph0.positions, config.arena, config.v_max,
+            self._rng_mobility) if config.v_max > 0 else None
 
     # ------------------------------------------------------------- scheduling
 
@@ -222,12 +218,9 @@ class Engine:
 
     def _mobility_tick(self) -> None:
         cfg = self.config
-        states = self._waypoints
-        for i, state in enumerate(states):
-            states[i] = waypoint_step(state, MOBILITY_TICK, cfg.pause_time,
-                                      cfg.v_max, cfg.arena, self._rng_mobility)
-        self._positions = [s.position for s in states]
-        self.neighbor_lists = unit_disk_neighbors(self._positions,
+        waypoint_step(self._waypoints, MOBILITY_TICK, cfg.pause_time,
+                      cfg.v_max, cfg.arena, self._rng_mobility)
+        self.neighbor_lists = unit_disk_neighbors(self._waypoints.pos,
                                                   cfg.arena.radio_range)
         self.schedule_in(MOBILITY_TICK, self._mobility_tick)
 

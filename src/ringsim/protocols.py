@@ -73,38 +73,35 @@ class RepairState:
     buffer: deque = field(default_factory=deque)
 
 
-class RouteCache:
+class RouteCache(dict):
     """FIFO-evicting store of source routes, capped at a fixed entry count.
 
-    One insertion-ordered dict holds the routes: its key order is the FIFO
-    order and its keys answer the duplicate check.  Scans test tuple
+    The cache is an insertion-ordered dict keyed by route (values unused):
+    key order is the FIFO order, and ``route in cache`` is a plain dict
+    lookup, cheap enough for callers to skip repeat inserts.  Scans test tuple
     membership first and index only the routes that hold both nodes; routes
     never repeat a node, so ``index`` is a node's only position.
     """
 
     def __init__(self, capacity: int):
+        super().__init__()
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self._routes: dict[tuple[int, ...], None] = {}
         self.max_seen = 0
 
-    def __len__(self) -> int:
-        return len(self._routes)
-
     def insert(self, route: tuple[int, ...]) -> None:
-        routes = self._routes
-        if route in routes or len(route) < 2 or len(set(route)) != len(route):
+        if route in self or len(route) < 2 or len(set(route)) != len(route):
             return
-        if len(routes) >= self.capacity:
-            del routes[next(iter(routes))]
-        routes[route] = None
-        self.max_seen = max(self.max_seen, len(routes))
+        if len(self) >= self.capacity:
+            del self[next(iter(self))]
+        self[route] = None
+        self.max_seen = max(self.max_seen, len(self))
 
     def lookup(self, here: int, dest: int) -> tuple[int, ...] | None:
         """Shortest cached sub-route from here to dest, oldest entry on ties."""
         best = None
-        for route in self._routes:
+        for route in self:
             if here in route and dest in route:
                 i = route.index(here)
                 j = route.index(dest)
@@ -114,10 +111,10 @@ class RouteCache:
 
     def purge_link(self, a: int, b: int) -> int:
         """Drop every route that traverses the (a, b) link in either direction."""
-        stale = [r for r in self._routes
+        stale = [r for r in self
                  if a in r and b in r and abs(r.index(a) - r.index(b)) == 1]
         for r in stale:
-            del self._routes[r]
+            del self[r]
         return len(stale)
 
 
@@ -444,13 +441,16 @@ class SourceRouteNode(Node):
     def _overhear(self, pkt: Packet, now: float) -> None:
         """Cache overheard routes and shorten paths when possible."""
         info = pkt.info
+        # most overheard routes are cached already: skip those inserts with
+        # a dict lookup, not a method call
         if pkt.kind == "RREP":
-            self.cache.insert(info.route)
+            if info.route not in self.cache:
+                self.cache.insert(info.route)
             return
         if pkt.kind != "DATA":
             return
         route = info.route
-        if len(route) >= 2:
+        if len(route) >= 2 and route not in self.cache:
             self.cache.insert(route)
         sender_index = info.pos - 1
         if sender_index < 0 or sender_index >= len(route) \

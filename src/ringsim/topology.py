@@ -48,9 +48,12 @@ class Graph:
         return len(self.positions)
 
 
-def unit_disk_neighbors(positions: Sequence[tuple[float, float]],
+def unit_disk_neighbors(positions: Sequence[tuple[float, float]] | np.ndarray,
                         radio_range: float) -> list[list[int]]:
-    """Sorted neighbor lists under the unit-disk rule (distance <= range)."""
+    """Sorted neighbor lists under the unit-disk rule (distance <= range).
+
+    An (n, 2) float64 array, such as ``WaypointState.pos``, is read as is.
+    """
     pts = np.asarray(positions, dtype=float).reshape(len(positions), 2)
     x, y = pts[:, 0], pts[:, 1]
     dx = x[:, None] - x[None, :]
@@ -167,14 +170,19 @@ def location_distribution(graph: Graph, source: int,
     return LocationDistribution(p=tuple(c / total for c in counts))
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class WaypointState:
-    """One node's random-waypoint state: where it is, where it heads, how fast."""
+    """Random-waypoint state of every node, one array row or entry per node.
 
-    position: tuple[float, float]
-    waypoint: tuple[float, float]
-    speed: float
-    pause_remaining: float
+    ``pos`` and ``wp`` are (n, 2) float64 positions and waypoints, ``speed``
+    and ``pause`` (seconds of pause left) are float64 vectors.  The arrays are
+    updated in place.
+    """
+
+    pos: np.ndarray
+    wp: np.ndarray
+    speed: np.ndarray
+    pause: np.ndarray
 
 
 def _draw_waypoint(arena: Arena, rng: random.Random) -> tuple[float, float]:
@@ -187,49 +195,59 @@ def _draw_speed(v_max: float, rng: random.Random) -> float:
     return rng.uniform(0.1 * v_max, v_max)
 
 
-def init_waypoint(position: tuple[float, float], arena: Arena, v_max: float,
-                  rng: random.Random) -> WaypointState:
-    return WaypointState(position=position, waypoint=_draw_waypoint(arena, rng),
-                         speed=_draw_speed(v_max, rng), pause_remaining=0.0)
+def init_waypoints(positions: Sequence[tuple[float, float]], arena: Arena,
+                   v_max: float, rng: random.Random) -> WaypointState:
+    """Start every node moving: a waypoint and a speed drawn per node, in order."""
+    n = len(positions)
+    wp, speed = [], []
+    for _ in range(n):
+        wp.append(_draw_waypoint(arena, rng))
+        speed.append(_draw_speed(v_max, rng))
+    return WaypointState(pos=np.array(positions, dtype=float).reshape(n, 2),
+                         wp=np.array(wp, dtype=float).reshape(n, 2),
+                         speed=np.array(speed, dtype=float),
+                         pause=np.zeros(n))
 
 
 def waypoint_step(state: WaypointState, dt: float, pause_time: float,
-                  v_max: float, arena: Arena, rng: random.Random) -> WaypointState:
-    """Advance one node by dt seconds of random-waypoint motion.
+                  v_max: float, arena: Arena, rng: random.Random) -> None:
+    """Advance every node by dt seconds of random-waypoint motion, in place.
 
     Paused nodes burn pause time; on expiry they draw a fresh waypoint and
     speed.  Moving nodes travel straight at their speed and stop at the
     waypoint, picking up pause_time there (or a new waypoint immediately when
     pause_time is zero).
+
+    Each node gets the same bits as stepping it alone in Python floats:
+    distances come from ``math.hypot`` (``np.hypot`` and a square root of
+    squares round differently), ``x + dx * frac`` is a separate multiply and
+    add, and nodes that need a new waypoint and speed draw them after the
+    arithmetic, in ascending index order.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    if state.pause_remaining > 0:
-        remaining = state.pause_remaining - dt
-        if remaining > 0:
-            return WaypointState(state.position, state.waypoint, state.speed,
-                                 remaining)
-        return WaypointState(position=state.position,
-                             waypoint=_draw_waypoint(arena, rng),
-                             speed=_draw_speed(v_max, rng),
-                             pause_remaining=0.0)
+    pos, wp, speed, pause = state.pos, state.wp, state.speed, state.pause
+    delta = wp - pos
+    distance = np.fromiter(map(math.hypot, delta[:, 0].tolist(),
+                               delta[:, 1].tolist()), float, len(speed))
+    step = speed * dt
+    paused = pause > 0
+    arrived = ~paused & (distance <= step)
+    moving = ~(paused | arrived)   # distance > step >= 0, so no zero divide
+    frac = np.divide(step, distance, out=np.zeros_like(step), where=moving)
+    np.add(pos, delta * frac[:, None], out=pos, where=moving[:, None])
+    np.copyto(pos, wp, where=arrived[:, None])
 
-    x, y = state.position
-    wx, wy = state.waypoint
-    dx, dy = wx - x, wy - y
-    distance = math.hypot(dx, dy)
-    step = state.speed * dt
-    if distance <= step:
-        if pause_time > 0:
-            return WaypointState(state.waypoint, state.waypoint, state.speed,
-                                 pause_time)
-        return WaypointState(position=state.waypoint,
-                             waypoint=_draw_waypoint(arena, rng),
-                             speed=_draw_speed(v_max, rng),
-                             pause_remaining=0.0)
-    frac = step / distance
-    return WaypointState((x + dx * frac, y + dy * frac), state.waypoint,
-                         state.speed, state.pause_remaining)
+    np.subtract(pause, dt, out=pause, where=paused)
+    redraw = paused & (pause <= 0)
+    if pause_time > 0:
+        pause[arrived] = pause_time
+    else:
+        redraw |= arrived
+    pause[redraw] = 0.0
+    for i in np.flatnonzero(redraw).tolist():
+        wp[i] = _draw_waypoint(arena, rng)
+        speed[i] = _draw_speed(v_max, rng)
 
 
 def dump_topology(graph: Graph) -> str:

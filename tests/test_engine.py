@@ -330,7 +330,6 @@ def test_stale_cache_purged_after_mid_run_break():
     engine = Engine(cfg)
     line = [(i * 100.0 + 10.0, 50.0) for i in range(5)]
     from ringsim.topology import unit_disk_neighbors
-    engine._positions = line
     engine.neighbor_lists = unit_disk_neighbors(line, cfg.arena.radio_range)
 
     src, dst = engine.nodes[0], 4

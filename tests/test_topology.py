@@ -2,9 +2,12 @@
 
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringsim import (
     Arena,
@@ -16,7 +19,7 @@ from ringsim import (
     generate_topology,
     graph_from_positions,
     hop_distances,
-    init_waypoint,
+    init_waypoints,
     location_distribution,
     waypoint_step,
 )
@@ -165,60 +168,73 @@ def test_location_mass_equals_reachable_fraction():
 
 # ------------------------------------------------------------------ mobility
 
+def _state(*nodes):
+    """WaypointState from (position, waypoint, speed, pause_remaining) rows."""
+    pos, wp, speed, pause = zip(*nodes)
+    return WaypointState(np.array(pos, dtype=float), np.array(wp, dtype=float),
+                         np.array(speed, dtype=float),
+                         np.array(pause, dtype=float))
+
+
+def _node(state, i):
+    return (tuple(state.pos[i].tolist()), tuple(state.wp[i].tolist()),
+            float(state.speed[i]), float(state.pause[i]))
+
+
 def test_waypoint_pause_countdown():
-    state = WaypointState((10.0, 10.0), (50.0, 50.0), 3.0, pause_remaining=5.0)
+    state = _state(((10.0, 10.0), (50.0, 50.0), 3.0, 5.0))
     rng = random.Random(0)
-    stepped = waypoint_step(state, 1.0, 2.0, 30.0, ARENA, rng)
-    assert stepped.position == (10.0, 10.0)
-    assert stepped.pause_remaining == 4.0
-    assert stepped.waypoint == (50.0, 50.0)
+    waypoint_step(state, 1.0, 2.0, 30.0, ARENA, rng)
+    assert tuple(state.pos[0].tolist()) == (10.0, 10.0)
+    assert state.pause[0] == 4.0
+    assert tuple(state.wp[0].tolist()) == (50.0, 50.0)
 
 
 def test_waypoint_straight_advance():
-    state = WaypointState((0.0, 0.0), (100.0, 0.0), 10.0, pause_remaining=0.0)
-    stepped = waypoint_step(state, 1.0, 2.0, 30.0, ARENA, random.Random(0))
-    assert stepped.position[0] == pytest.approx(10.0)
-    assert stepped.position[1] == 0.0
-    assert stepped.pause_remaining == 0.0
+    state = _state(((0.0, 0.0), (100.0, 0.0), 10.0, 0.0))
+    waypoint_step(state, 1.0, 2.0, 30.0, ARENA, random.Random(0))
+    assert state.pos[0, 0] == pytest.approx(10.0)
+    assert state.pos[0, 1] == 0.0
+    assert state.pause[0] == 0.0
 
 
 def test_waypoint_arrival_starts_pause():
-    state = WaypointState((0.0, 0.0), (5.0, 0.0), 10.0, pause_remaining=0.0)
-    stepped = waypoint_step(state, 1.0, 7.0, 30.0, ARENA, random.Random(0))
-    assert stepped.position == (5.0, 0.0)
-    assert stepped.pause_remaining == 7.0
+    state = _state(((0.0, 0.0), (5.0, 0.0), 10.0, 0.0))
+    waypoint_step(state, 1.0, 7.0, 30.0, ARENA, random.Random(0))
+    assert tuple(state.pos[0].tolist()) == (5.0, 0.0)
+    assert state.pause[0] == 7.0
 
 
 def test_waypoint_zero_pause_redraws_target():
-    state = WaypointState((0.0, 0.0), (5.0, 0.0), 10.0, pause_remaining=0.0)
-    stepped = waypoint_step(state, 1.0, 0.0, 30.0, ARENA, random.Random(3))
-    assert stepped.position == (5.0, 0.0)
-    assert stepped.pause_remaining == 0.0
-    assert stepped.waypoint != (5.0, 0.0)
-    assert 0 <= stepped.waypoint[0] <= ARENA.width
-    assert 0 <= stepped.waypoint[1] <= ARENA.height
+    state = _state(((0.0, 0.0), (5.0, 0.0), 10.0, 0.0))
+    waypoint_step(state, 1.0, 0.0, 30.0, ARENA, random.Random(3))
+    assert tuple(state.pos[0].tolist()) == (5.0, 0.0)
+    assert state.pause[0] == 0.0
+    assert tuple(state.wp[0].tolist()) != (5.0, 0.0)
+    assert 0 <= state.wp[0, 0] <= ARENA.width
+    assert 0 <= state.wp[0, 1] <= ARENA.height
 
 
 def test_waypoint_stays_inside_arena():
     rng = random.Random(11)
     arena = Arena(200.0, 120.0, 50.0)
-    state = init_waypoint((40.0, 40.0), arena, 30.0, rng)
+    state = init_waypoints([(40.0, 40.0), (0.0, 120.0), (200.0, 0.0)], arena,
+                           30.0, rng)
     for _ in range(800):
-        state = waypoint_step(state, 0.1, 0.5, 30.0, arena, rng)
-        x, y = state.position
-        assert 0.0 <= x <= arena.width
-        assert 0.0 <= y <= arena.height
-        assert 0.0 < state.speed <= 30.0
+        waypoint_step(state, 0.1, 0.5, 30.0, arena, rng)
+        assert np.all((0.0 <= state.pos[:, 0]) & (state.pos[:, 0] <= arena.width))
+        assert np.all((0.0 <= state.pos[:, 1]) & (state.pos[:, 1] <= arena.height))
+        assert np.all((0.0 < state.speed) & (state.speed <= 30.0))
 
 
 def test_waypoint_trajectory_deterministic():
     def trajectory():
         rng = random.Random(77)
-        state = init_waypoint((10.0, 10.0), ARENA, 20.0, rng)
+        state = init_waypoints([(10.0, 10.0), (500.0, 500.0)], ARENA, 20.0, rng)
         points = []
         for _ in range(200):
-            state = waypoint_step(state, 0.1, 0.0, 20.0, ARENA, rng)
-            points.append(state.position)
+            waypoint_step(state, 0.1, 0.0, 20.0, ARENA, rng)
+            points.append(state.pos.tobytes())
         return points
 
     assert trajectory() == trajectory()
@@ -227,19 +243,144 @@ def test_waypoint_trajectory_deterministic():
 def test_waypoint_branches_keep_untouched_fields():
     rng = random.Random(5)
     before = rng.getstate()
-    # paused, pause not yet over: only the countdown moves
-    state = WaypointState((10.0, 10.0), (50.0, 50.0), 3.0, 5.0)
-    assert (waypoint_step(state, 1.0, 2.0, 30.0, ARENA, rng)
-            == WaypointState((10.0, 10.0), (50.0, 50.0), 3.0, 4.0))
-    # arrival with a pause: at the waypoint, speed kept, pause armed
-    state = WaypointState((0.0, 0.0), (5.0, 0.0), 10.0, -0.5)
-    assert (waypoint_step(state, 1.0, 7.0, 30.0, ARENA, rng)
-            == WaypointState((5.0, 0.0), (5.0, 0.0), 10.0, 7.0))
-    # straight advance: waypoint, speed and pause_remaining carried over
-    state = WaypointState((0.0, 0.0), (100.0, 0.0), 10.0, -0.5)
-    assert (waypoint_step(state, 1.0, 2.0, 30.0, ARENA, rng)
-            == WaypointState((10.0, 0.0), (100.0, 0.0), 10.0, -0.5))
+    state = _state(
+        # paused, pause not yet over: only the countdown moves
+        ((10.0, 10.0), (50.0, 50.0), 3.0, 5.0),
+        # arrival with a pause: at the waypoint, speed kept, pause armed
+        ((0.0, 0.0), (5.0, 0.0), 10.0, -0.5),
+        # straight advance: waypoint, speed and pause_remaining carried over
+        ((0.0, 0.0), (100.0, 0.0), 10.0, -0.5),
+    )
+    waypoint_step(state, 1.0, 7.0, 30.0, ARENA, rng)
+    assert _node(state, 0) == ((10.0, 10.0), (50.0, 50.0), 3.0, 4.0)
+    assert _node(state, 1) == ((5.0, 0.0), (5.0, 0.0), 10.0, 7.0)
+    assert _node(state, 2) == ((10.0, 0.0), (100.0, 0.0), 10.0, -0.5)
     assert rng.getstate() == before  # none of these branches draws
+
+
+def test_waypoint_step_rejects_nonpositive_dt():
+    state = _state(((0.0, 0.0), (5.0, 0.0), 10.0, 0.0))
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            waypoint_step(state, dt, 0.0, 30.0, ARENA, random.Random(0))
+
+
+@dataclass(frozen=True)
+class _ScalarWaypoint:
+    """Reference: one node's random-waypoint state in Python floats."""
+
+    position: tuple[float, float]
+    waypoint: tuple[float, float]
+    speed: float
+    pause_remaining: float
+
+
+def _scalar_redraw(position, arena, v_max, rng):
+    waypoint = (rng.uniform(0.0, arena.width), rng.uniform(0.0, arena.height))
+    return _ScalarWaypoint(position, waypoint, rng.uniform(0.1 * v_max, v_max),
+                           0.0)
+
+
+def _scalar_step(state, dt, pause_time, v_max, arena, rng):
+    """Reference: advance one node, drawing as soon as it needs a new trip."""
+    if state.pause_remaining > 0:
+        remaining = state.pause_remaining - dt
+        if remaining > 0:
+            return _ScalarWaypoint(state.position, state.waypoint, state.speed,
+                                   remaining)
+        return _scalar_redraw(state.position, arena, v_max, rng)
+    x, y = state.position
+    wx, wy = state.waypoint
+    dx, dy = wx - x, wy - y
+    distance = math.hypot(dx, dy)
+    step = state.speed * dt
+    if distance <= step:
+        if pause_time > 0:
+            return _ScalarWaypoint(state.waypoint, state.waypoint, state.speed,
+                                   pause_time)
+        return _scalar_redraw(state.waypoint, arena, v_max, rng)
+    frac = step / distance
+    return _ScalarWaypoint((x + dx * frac, y + dy * frac), state.waypoint,
+                           state.speed, state.pause_remaining)
+
+
+_DT = (0.1, 0.25, 0.5, 1.0)
+_COORD = st.one_of(st.sampled_from((0.0, 3.0, 60.0, 200.0)),
+                   st.floats(0.0, 200.0))
+
+
+@st.composite
+def _waypoint_start(draw):
+    """A dt and node rows that hit every branch of the step on the first call."""
+    dt = draw(st.sampled_from(_DT))
+    nodes = []
+    for _ in range(draw(st.integers(1, 8))):
+        x, y = float(draw(st.integers(0, 100))), float(draw(st.integers(0, 100)))
+        speed = draw(st.floats(0.5, 30.0))
+        shape = draw(st.sampled_from(("free", "same", "exact", "triangle")))
+        if shape == "free":            # anywhere, usually a straight advance
+            x, y = draw(_COORD), draw(_COORD)
+            waypoint = (draw(_COORD), draw(_COORD))
+        elif shape == "same":          # zero distance: an arrival
+            waypoint = (x, y)
+        elif shape == "exact":         # distance == step along an axis
+            waypoint = (x + speed * dt, y)
+        else:                          # distance == step == 5k, not on an axis
+            k = float(draw(st.integers(1, 20)))
+            waypoint, speed = (x + 3 * k, y + 4 * k), 5 * k / dt
+        pause = draw(st.sampled_from((0.0, dt, 0.5 * dt, 2.5 * dt, -0.5))
+                     | st.floats(-1.0, 3.0))
+        nodes.append(((x, y), waypoint, speed, pause))
+    return dt, nodes
+
+
+# rows for the edge cases, with dt = 0.5
+_EDGE_ROWS = [
+    ((10.0, 10.0), (50.0, 50.0), 3.0, 5.0),     # pause left > dt
+    ((10.0, 10.0), (50.0, 50.0), 3.0, 0.5),     # pause left == dt
+    ((10.0, 10.0), (50.0, 50.0), 3.0, 0.25),    # pause left < dt
+    ((0.0, 0.0), (5.0, 0.0), 10.0, 0.0),        # distance == step
+    ((6.0, 8.0), (9.0, 12.0), 10.0, 0.0),       # distance == step, 3-4-5
+    ((7.0, 7.0), (7.0, 7.0), 4.0, 0.0),         # zero distance
+    ((0.0, 0.0), (100.0, 0.0), 10.0, -0.5),     # negative pause carried
+    ((0.0, 0.0), (5.0, 0.0), 10.0, -0.5),       # negative pause, arrival
+]
+
+
+@settings(max_examples=300)
+@given(start=_waypoint_start(),
+       pause_time=st.sampled_from((0.0, 0.3, 1.0)) | st.floats(0.0, 5.0),
+       steps=st.integers(1, 40), seed=st.integers(0, 2**16))
+@example(start=(0.5, _EDGE_ROWS), pause_time=0.0, steps=60, seed=7)
+@example(start=(0.5, _EDGE_ROWS), pause_time=2.0, steps=60, seed=7)
+def test_waypoint_step_matches_scalar_reference(start, pause_time, steps, seed):
+    """Arrays and random state equal the scalar reference's, bit for bit."""
+    dt, nodes = start
+    arena, v_max = Arena(200.0, 200.0, 50.0), 30.0
+    state = _state(*nodes)
+    reference = [_ScalarWaypoint(*node) for node in nodes]
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(steps):
+        waypoint_step(state, dt, pause_time, v_max, arena, rng)
+        reference = [_scalar_step(s, dt, pause_time, v_max, arena, ref_rng)
+                     for s in reference]
+        expected = _state(*((s.position, s.waypoint, s.speed, s.pause_remaining)
+                            for s in reference))
+        for name in ("pos", "wp", "speed", "pause"):
+            got, want = getattr(state, name), getattr(expected, name)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), name
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_init_waypoints_draws_each_node_in_index_order():
+    positions = [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]
+    state = init_waypoints(positions, ARENA, 30.0, random.Random(4))
+    rng = random.Random(4)
+    for i, position in enumerate(positions):
+        want = _scalar_redraw(position, ARENA, 30.0, rng)
+        assert _node(state, i) == (want.position, want.waypoint, want.speed,
+                                   want.pause_remaining)
 
 
 def _reference_neighbors(positions, radio_range):
