@@ -163,12 +163,6 @@ class Engine:
         else:
             bucket.append((fn, args))
 
-    def remove_link(self, a: int, b: int) -> None:
-        """Force a link down (test hook; mobility recompute would undo it)."""
-        for u, v in ((a, b), (b, a)):
-            if v in self.neighbor_lists[u]:
-                self.neighbor_lists[u].remove(v)
-
     # -------------------------------------------------------------- main loop
 
     def run(self) -> MetricsRecord:
@@ -225,7 +219,7 @@ class Engine:
         self.schedule_in(MOBILITY_TICK, self._mobility_tick)
 
     def _hello_tick(self, nid: int) -> None:
-        self.nodes[nid].on_hello_tick(self.now)
+        self.nodes[nid].on_hello_tick()
         self.schedule_in(HELLO_INTERVAL, self._hello_tick, nid)
 
     def _traffic_tick(self, flow: int, src: int, dst: int, interval: float) -> None:
@@ -235,14 +229,13 @@ class Engine:
         self._uid += 1
         if pkt.created_at >= self.config.warmup:
             self.metrics.data_sent += 1
-        self.nodes[src].send_data(pkt, self.now)
+        self.nodes[src].send_data(pkt)
         self.schedule_in(interval, self._traffic_tick, flow, src, dst, interval)
 
     # ---------------------------------------------------------- transmissions
 
     def send(self, sender: int, pkt: Packet, next_hop: int | None = None) -> None:
-        now = self.now
-        if pkt.kind != "DATA" and now >= self.config.warmup:
+        if pkt.kind != "DATA" and self.now >= self.config.warmup:
             self.metrics.control_tx[pkt.kind] = \
                 self.metrics.control_tx.get(pkt.kind, 0) + 1
             if pkt.kind == "RREQ":
@@ -260,7 +253,7 @@ class Engine:
                 # promiscuous listeners must run before the next hop forwards
                 for nb in self.neighbor_lists[sender]:
                     if nb != next_hop:
-                        self.schedule_in(delay, self._overhear, nb, pkt, sender)
+                        self.schedule_in(delay, self.nodes[nb].on_overhear, pkt)
             if pkt.kind == "DATA":
                 self._data_in_flight[id(pkt)] = pkt
                 self.schedule_in(delay, self._deliver_data, next_hop, pkt, sender)
@@ -269,7 +262,7 @@ class Engine:
         else:
             if self.trace is not None:
                 self._trace("drop", sender, pkt, "link_fail")
-            self.nodes[sender].on_unicast_fail(pkt, next_hop, now)
+            self.nodes[sender].on_unicast_fail(pkt, next_hop)
 
     @staticmethod
     def _send_tag(pkt: Packet) -> str:
@@ -281,14 +274,11 @@ class Engine:
     def _deliver(self, node_id: int, pkt: Packet, frm: int) -> None:
         if self.trace is not None:
             self._trace("recv", node_id, pkt, "-")
-        self.nodes[node_id].on_packet(pkt, frm, self.now)
+        self.nodes[node_id].on_packet(pkt, frm)
 
     def _deliver_data(self, node_id: int, pkt: Packet, frm: int) -> None:
         del self._data_in_flight[id(pkt)]
         self._deliver(node_id, pkt, frm)
-
-    def _overhear(self, node_id: int, pkt: Packet, frm: int) -> None:
-        self.nodes[node_id].on_overhear(pkt, frm, self.now)
 
     # ------------------------------------------------------- node-facing hooks
 

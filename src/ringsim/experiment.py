@@ -39,12 +39,12 @@ class ResultRow:
     variant: str
     pause_time: float
     seed: int
-    throughput_bps: float | None
-    e2ed_s: float | None
-    nrl: float | None
-    discovery_successes: int | None
-    analytic_b_m: float | None
-    sim_rreq_tx: int | None
+    throughput_bps: float | None = None
+    e2ed_s: float | None = None
+    nrl: float | None = None
+    discovery_successes: int | None = None
+    analytic_b_m: float | None = None
+    sim_rreq_tx: int | None = None
     error: str = ""
 
     @property
@@ -112,9 +112,7 @@ def _cell_task(task) -> ResultRow:
         return run_cell(scenario, protocol, variant, pause_time, seed, trace_dir)
     except Exception as exc:  # keep the sweep alive, report the cell
         return ResultRow(protocol=protocol.value, variant=variant.value,
-                         pause_time=pause_time, seed=seed, throughput_bps=None,
-                         e2ed_s=None, nrl=None, discovery_successes=None,
-                         analytic_b_m=None, sim_rreq_tx=None,
+                         pause_time=pause_time, seed=seed,
                          error=f"{type(exc).__name__}: {exc}")
 
 
@@ -301,7 +299,7 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
                     p_s=p_s, seed=seed)
     engine = Engine(cfg)
     ghost = n_nodes  # a node id nobody owns
-    engine.schedule_in(0.0, engine.nodes[source].request_route, ghost, 0.0)
+    engine.schedule_in(0.0, engine.nodes[source].request_route, ghost)
     metrics = engine.run()
 
     counts = bfs_rings(engine.graph0, source).counts

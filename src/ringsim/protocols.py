@@ -14,6 +14,9 @@ family's ring policy (``discovery_rings``, ``ring_wait``) and the engine flags
 ``sends_hellos`` (arm ``_hello_tick``).  The engine-facing ``send_data`` and
 ``on_*`` handlers live on :class:`Node` alone, so wrapping them there
 instruments every family.
+
+There is one clock: nodes read the current time from ``engine.now``; the
+engine passes none.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ class DiscoveryState:
     """Progress of one pending route discovery."""
 
     destination: int
-    rings: tuple[int, ...]
     ring_index: int = 0
     wait_deadline: float = 0.0
     generation: int = 0
@@ -150,40 +152,40 @@ class Node:
 
     # -------------------------------------------------------- engine handlers
 
-    def send_data(self, pkt: Packet, now: float) -> None:
+    def send_data(self, pkt: Packet) -> None:
         """Entry point for locally generated traffic."""
         pkt.info.traveled = (self.nid,)
-        self._dispatch_data(pkt, now)
+        self._dispatch_data(pkt)
 
-    def on_packet(self, pkt: Packet, frm: int, now: float) -> None:
+    def on_packet(self, pkt: Packet, frm: int) -> None:
         kind = pkt.kind
         if kind == "RREQ":
-            self._handle_rreq(pkt, frm, now)
+            self._handle_rreq(pkt, frm)
         elif kind == "RREP":
-            self._handle_rrep(pkt, frm, now)
+            self._handle_rrep(pkt, frm)
         elif kind == "RERR":
-            self._handle_rerr(pkt, frm, now)
+            self._handle_rerr(pkt, frm)
         elif kind == "HELLO":
             # only classes that set sends_hellos send them, and keep last_heard
-            self.last_heard[frm] = now
+            self.last_heard[frm] = self.engine.now
         elif kind == "DATA":
-            self._handle_data(pkt, frm, now)
+            self._handle_data(pkt, frm)
 
-    def on_overhear(self, pkt: Packet, frm: int, now: float) -> None:
+    def on_overhear(self, pkt: Packet) -> None:
         """Promiscuous reception of a unicast addressed to a neighbor."""
-        self._overhear(pkt, now)
+        self._overhear(pkt)
 
-    def on_hello_tick(self, now: float) -> None:
+    def on_hello_tick(self) -> None:
         """Broadcast a hello and declare neighbors silent too long broken."""
-        self._hello_tick(now)
+        self._hello_tick()
 
-    def on_unicast_fail(self, pkt: Packet, next_hop: int, now: float) -> None:
+    def on_unicast_fail(self, pkt: Packet, next_hop: int) -> None:
         """The engine could not hand pkt to next_hop: the link is gone."""
-        self._link_failed(pkt, next_hop, now)
+        self._link_failed(pkt, next_hop)
 
     # ------------------------------------------------------------------ data
 
-    def _handle_data(self, pkt: Packet, frm: int, now: float) -> None:
+    def _handle_data(self, pkt: Packet, frm: int) -> None:
         info = pkt.info
         info.traveled = info.traveled + (self.nid,)
         if self.nid == pkt.dst:
@@ -193,23 +195,23 @@ class Node:
         if pkt.ttl <= 0:
             self.engine.drop_data(pkt, "ttl_expired")
             return
-        self._dispatch_data(pkt, now)
+        self._dispatch_data(pkt)
 
-    def _enqueue_data(self, dest: int, pkt: Packet, now: float) -> None:
+    def _enqueue_data(self, dest: int, pkt: Packet) -> None:
         queue = self.queues.setdefault(dest, deque())
         if len(queue) >= QUEUE_LIMIT:
             self.engine.drop_data(queue.popleft(), "queue_overflow")
         queue.append(pkt)
         # callers only enqueue when no usable route exists, so a discovery is
         # always the drain path
-        self.request_route(dest, now)
+        self.request_route(dest)
 
-    def _drain_queue(self, dest: int, now: float) -> None:
+    def _drain_queue(self, dest: int) -> None:
         queue = self.queues.pop(dest, None)
         if not queue:
             return
         for pkt in queue:
-            self._dispatch_data(pkt, now)
+            self._dispatch_data(pkt)
 
     def pending_data_packets(self) -> list[Packet]:
         """Every data packet currently parked in this node (for conservation)."""
@@ -222,25 +224,26 @@ class Node:
         """Ring TTLs a discovery attempt actually walks."""
         return build_schedule(cls.protocol, variant).rings
 
-    def request_route(self, dest: int, now: float) -> None:
+    def request_route(self, dest: int) -> None:
         """Start a discovery for dest unless one is already pending."""
         if dest in self.pending:
             return
         self.seq += 1
-        state = DiscoveryState(destination=dest, rings=self.rings)
+        state = DiscoveryState(destination=dest)
         self.pending[dest] = state
-        self._emit_ring(state, now)
+        self._emit_ring(state)
 
-    def _emit_ring(self, state: DiscoveryState, now: float) -> None:
-        ttl = state.rings[state.ring_index]
-        self._send_rreq(state.destination, ttl, now)
+    def _emit_ring(self, state: DiscoveryState) -> None:
+        ttl = self.rings[state.ring_index]
+        self._send_rreq(state.destination, ttl)
         wait = self.ring_wait(self.params, state.ring_index, ttl)
-        state.wait_deadline = now + wait
+        state.wait_deadline = self.engine.now + wait
         state.generation += 1
         self.engine.schedule_in(wait, self._discovery_timeout,
                                 state.destination, state.generation)
 
-    def _send_rreq(self, dest: int, ttl: int, now: float) -> None:
+    def _send_rreq(self, dest: int, ttl: int) -> None:
+        now = self.engine.now
         req_id = len(self.rreq_opened)
         self.rreq_opened.append(now)
         self.seen_requests.add((self.nid, req_id))
@@ -253,27 +256,26 @@ class Node:
         state = self.pending.get(dest)
         if state is None or state.generation != generation:
             return
-        now = self.engine.now
         state.ring_index += 1
-        if state.ring_index >= len(state.rings):
-            self._finish_discovery(dest, False, now)
+        if state.ring_index >= len(self.rings):
+            self._finish_discovery(dest, False)
         else:
-            self._emit_ring(state, now)
+            self._emit_ring(state)
 
-    def _finish_discovery(self, dest: int, success: bool, now: float) -> None:
+    def _finish_discovery(self, dest: int, success: bool) -> None:
         state = self.pending.pop(dest, None)
         if state is None:
             return
         self.engine.discovery_finished(success)
         if success:
-            self._drain_queue(dest, now)
+            self._drain_queue(dest)
         else:
             queue = self.queues.pop(dest, None)
             if queue:
                 for pkt in queue:
                     self.engine.drop_data(pkt, "discovery_failed")
 
-    def _handle_rreq(self, pkt: Packet, frm: int, now: float) -> None:
+    def _handle_rreq(self, pkt: Packet, frm: int) -> None:
         if pkt.ttl < 0:
             self.engine.protocol_error(self.nid, pkt)
             return
@@ -283,11 +285,11 @@ class Node:
             self.engine.record_drop(self.nid, pkt, "duplicate")
             return
         self.seen_requests.add(key)
-        path = self._learn_reverse(info, frm, now)
+        path = self._learn_reverse(info, frm)
         if info.target == self.nid:
-            self._reply_as_target(info, path, now)
+            self._reply_as_target(info, path)
             return
-        if self._reply_en_route(info, path, now):
+        if self._reply_en_route(info, path):
             return
         new_ttl = pkt.ttl - 1
         if new_ttl > 0 and self.engine.forward_coin():
@@ -323,12 +325,12 @@ class SourceRouteNode(Node):
         """A fixed reply timeout, doubled per ring."""
         return params.nonprop_timeout * (2 ** ring_index)
 
-    def _dispatch_data(self, pkt: Packet, now: float) -> None:
+    def _dispatch_data(self, pkt: Packet) -> None:
         info = pkt.info
         if not info.route or info.route[info.pos] != self.nid:
             route = self.cache.lookup(self.nid, pkt.dst)
             if route is None:
-                self._enqueue_data(pkt.dst, pkt, now)
+                self._enqueue_data(pkt.dst, pkt)
                 return
             info.route = route
             info.pos = 0
@@ -340,30 +342,27 @@ class SourceRouteNode(Node):
         info.pos += 1
         self.engine.send(self.nid, pkt, next_hop=nxt)
 
-    def _learn_reverse(self, info: RreqInfo, frm: int,
-                       now: float) -> tuple[int, ...]:
+    def _learn_reverse(self, info: RreqInfo, frm: int) -> tuple[int, ...]:
         path = info.route + (self.nid,)
         # links are symmetric, so the reversed prefix is a usable route back
         self.cache.insert(tuple(reversed(path)))
         return path
 
-    def _reply_as_target(self, info: RreqInfo, path: tuple[int, ...],
-                         now: float) -> None:
-        self._send_rrep_source_routed(path, tuple(reversed(path)), now)
+    def _reply_as_target(self, info: RreqInfo, path: tuple[int, ...]) -> None:
+        self._send_rrep_source_routed(path, tuple(reversed(path)))
 
-    def _reply_en_route(self, info: RreqInfo, path: tuple[int, ...],
-                        now: float) -> bool:
+    def _reply_en_route(self, info: RreqInfo, path: tuple[int, ...]) -> bool:
         sub = self.cache.lookup(self.nid, info.target)
         if sub is None:
             return False
         full = path + sub[1:]
         if len(set(full)) != len(full):
             return False
-        self._send_rrep_source_routed(full, tuple(reversed(path)), now)
+        self._send_rrep_source_routed(full, tuple(reversed(path)))
         return True
 
     def _send_rrep_source_routed(self, full_route: tuple[int, ...],
-                                 return_route: tuple[int, ...], now: float,
+                                 return_route: tuple[int, ...],
                                  gratuitous: bool = False) -> None:
         if len(return_route) < 2:
             return
@@ -371,25 +370,25 @@ class SourceRouteNode(Node):
                         hops_from_target=0, target_seq=0, route=full_route,
                         return_route=return_route, pos=1, gratuitous=gratuitous)
         pkt = Packet("RREP", CONTROL_SIZE, full_route[-1], full_route[0], 0,
-                     now, info)
+                     self.engine.now, info)
         self.engine.send(self.nid, pkt, next_hop=return_route[1])
 
-    def _handle_rrep(self, pkt: Packet, frm: int, now: float) -> None:
+    def _handle_rrep(self, pkt: Packet, frm: int) -> None:
         info = pkt.info
         self.cache.insert(info.route)
         if self.nid == info.orig:
-            self._finish_discovery(info.target, True, now)
+            self._finish_discovery(info.target, True)
             return
         self._forward_on_return_route(pkt)
 
-    def _handle_rerr(self, pkt: Packet, frm: int, now: float) -> None:
+    def _handle_rerr(self, pkt: Packet, frm: int) -> None:
         info = pkt.info
         if info.broken_link is not None:
             self.cache.purge_link(*info.broken_link)
         if self.nid == pkt.dst:
             for dest in info.unreachable:
                 if self.queues.get(dest):
-                    self.request_route(dest, now)
+                    self.request_route(dest)
             return
         self._forward_on_return_route(pkt)
 
@@ -400,29 +399,30 @@ class SourceRouteNode(Node):
             info.pos = nxt_index
             self.engine.send(self.nid, pkt, next_hop=info.return_route[nxt_index])
 
-    def _send_rerr_source_routed(self, data_pkt: Packet, broken: tuple[int, int],
-                                 now: float) -> None:
+    def _send_rerr_source_routed(self, data_pkt: Packet,
+                                 broken: tuple[int, int]) -> None:
         back = tuple(reversed(data_pkt.info.traveled))
         if len(back) < 2:
             return
         info = RerrInfo(unreachable=(data_pkt.dst,), broken_link=broken,
                         return_route=back, pos=1)
         self.engine.send(self.nid, Packet("RERR", CONTROL_SIZE, self.nid,
-                                          data_pkt.src, 0, now, info),
+                                          data_pkt.src, 0, self.engine.now,
+                                          info),
                          next_hop=back[1])
 
-    def _link_failed(self, pkt: Packet, next_hop: int, now: float) -> None:
+    def _link_failed(self, pkt: Packet, next_hop: int) -> None:
         self.cache.purge_link(self.nid, next_hop)
         if pkt.kind == "DATA":
-            self._salvage_or_drop(pkt, next_hop, now)
+            self._salvage_or_drop(pkt, next_hop)
 
-    def _salvage_or_drop(self, pkt: Packet, broken_next: int, now: float) -> None:
+    def _salvage_or_drop(self, pkt: Packet, broken_next: int) -> None:
         info = pkt.info
         if self.nid == pkt.src:
             # the source simply re-resolves: cached alternative or rediscovery
             info.route = ()
             info.pos = 0
-            self._dispatch_data(pkt, now)
+            self._dispatch_data(pkt)
             return
         if info.salvage_count < MAX_MAIN_REXMT:
             alt = self.cache.lookup(self.nid, pkt.dst)
@@ -436,9 +436,9 @@ class SourceRouteNode(Node):
         else:
             reason = "salvage_exhausted"
         self.engine.drop_data(pkt, reason)
-        self._send_rerr_source_routed(pkt, (self.nid, broken_next), now)
+        self._send_rerr_source_routed(pkt, (self.nid, broken_next))
 
-    def _overhear(self, pkt: Packet, now: float) -> None:
+    def _overhear(self, pkt: Packet) -> None:
         """Cache overheard routes and shorten paths when possible."""
         info = pkt.info
         # most overheard routes are cached already: skip those inserts with
@@ -459,12 +459,13 @@ class SourceRouteNode(Node):
         own_index = route.index(self.nid)
         if own_index > sender_index + 1:
             key = (pkt.src, pkt.dst)
+            now = self.engine.now
             if now - self._grat_sent.get(key, -1e9) < 1.0:
                 return
             self._grat_sent[key] = now
             short = route[:sender_index + 1] + route[own_index:]
             back = (self.nid,) + tuple(reversed(route[:sender_index + 1]))
-            self._send_rrep_source_routed(short, back, now, gratuitous=True)
+            self._send_rrep_source_routed(short, back, gratuitous=True)
 
 
 class HopByHopNode(Node):
@@ -488,50 +489,51 @@ class HopByHopNode(Node):
         """Scales with the ring TTL, capped by the network traversal budget."""
         return min(ring_traversal_wait(ttl, params), params.net_traversal_time)
 
-    def _dispatch_data(self, pkt: Packet, now: float) -> None:
+    def _dispatch_data(self, pkt: Packet) -> None:
         dest = pkt.dst
-        entry = self._valid_route(dest, now)
+        entry = self._valid_route(dest)
         if entry is not None:
+            now = self.engine.now
             entry.valid_until = now + ROUTE_LIFETIME
             entry.last_data_use = now
             self.engine.send(self.nid, pkt, next_hop=entry.next_hop)
         elif self.nid == pkt.src:
-            self._enqueue_data(dest, pkt, now)
+            self._enqueue_data(dest, pkt)
         else:
-            self._route_lost(pkt, "no_route", [], now)
+            self._route_lost(pkt, "no_route", [])
 
-    def _route_lost(self, pkt: Packet, reason: str, active: list[int],
-                    now: float) -> None:
+    def _route_lost(self, pkt: Packet, reason: str, active: list[int]) -> None:
         """A forwarder holds pkt but no route to its destination."""
         self.engine.drop_data(pkt, reason)
         if pkt.dst not in active:
             active.append(pkt.dst)
-        self._broadcast_rerr(tuple(active), now)
+        self._broadcast_rerr(tuple(active))
 
-    def _neighbor_lost(self, active: list[int], now: float) -> None:
+    def _neighbor_lost(self, active: list[int]) -> None:
         """Hellos stopped; active lists the destinations that carried data."""
         if active:
-            self._broadcast_rerr(tuple(active), now)
+            self._broadcast_rerr(tuple(active))
 
-    def _route_confirmed(self, dest: int, now: float) -> None:
+    def _route_confirmed(self, dest: int) -> None:
         """A reply just installed a confirmed route to dest."""
 
-    def _learn_reverse(self, info: RreqInfo, frm: int, now: float) -> tuple:
-        self._install_route(info.orig, frm, info.hop_count + 1, info.orig_seq, now)
+    def _learn_reverse(self, info: RreqInfo, frm: int) -> tuple:
+        self._install_route(info.orig, frm, info.hop_count + 1, info.orig_seq)
         return ()
 
-    def _reply_as_target(self, info: RreqInfo, path: tuple, now: float) -> None:
+    def _reply_as_target(self, info: RreqInfo, path: tuple) -> None:
         self.seq += 1
-        self._send_rrep(info.orig, self.nid, 0, self.seq, now)
+        self._send_rrep(info.orig, self.nid, 0, self.seq)
 
-    def _reply_en_route(self, info: RreqInfo, path: tuple, now: float) -> bool:
+    def _reply_en_route(self, info: RreqInfo, path: tuple) -> bool:
         return False
 
     def _send_rrep(self, orig: int, target: int, hops_from_target: int,
-                   target_seq: int, now: float) -> None:
-        entry = self._valid_route(orig, now)
+                   target_seq: int) -> None:
+        entry = self._valid_route(orig)
         if entry is None:
             return
+        now = self.engine.now
         entry.valid_until = now + ROUTE_LIFETIME
         info = RrepInfo(target=target, orig=orig,
                         hops_from_target=hops_from_target,
@@ -539,18 +541,18 @@ class HopByHopNode(Node):
         pkt = Packet("RREP", CONTROL_SIZE, target, orig, 0, now, info)
         self.engine.send(self.nid, pkt, next_hop=entry.next_hop)
 
-    def _handle_rrep(self, pkt: Packet, frm: int, now: float) -> None:
+    def _handle_rrep(self, pkt: Packet, frm: int) -> None:
         info = pkt.info
         hops = info.hops_from_target + 1
-        self._install_route(info.target, frm, hops, info.target_seq, now,
+        self._install_route(info.target, frm, hops, info.target_seq,
                             seq_valid=True)
-        self._route_confirmed(info.target, now)
+        self._route_confirmed(info.target)
         if self.nid == info.orig:
-            self._finish_discovery(info.target, True, now)
+            self._finish_discovery(info.target, True)
             return
-        self._send_rrep(info.orig, info.target, hops, info.target_seq, now)
+        self._send_rrep(info.orig, info.target, hops, info.target_seq)
 
-    def _handle_rerr(self, pkt: Packet, frm: int, now: float) -> None:
+    def _handle_rerr(self, pkt: Packet, frm: int) -> None:
         affected = []
         for dest in pkt.info.unreachable:
             entry = self.routes.get(dest)
@@ -558,22 +560,23 @@ class HopByHopNode(Node):
                 del self.routes[dest]
                 affected.append(dest)
         if affected:
-            self._broadcast_rerr(tuple(affected), now)
+            self._broadcast_rerr(tuple(affected))
 
-    def _broadcast_rerr(self, dests: tuple[int, ...], now: float) -> None:
+    def _broadcast_rerr(self, dests: tuple[int, ...]) -> None:
         info = RerrInfo(unreachable=dests)
         self.engine.send(self.nid, Packet("RERR", CONTROL_SIZE, self.nid,
-                                          BROADCAST, 1, now, info))
+                                          BROADCAST, 1, self.engine.now, info))
 
-    def _link_failed(self, pkt: Packet, next_hop: int, now: float) -> None:
-        active = self._drop_routes_via(next_hop, now)
+    def _link_failed(self, pkt: Packet, next_hop: int) -> None:
+        active = self._drop_routes_via(next_hop)
         if pkt.kind == "DATA":
             if self.nid == pkt.src:
-                self._enqueue_data(pkt.dst, pkt, now)
+                self._enqueue_data(pkt.dst, pkt)
             else:
-                self._route_lost(pkt, "link_break", active, now)
+                self._route_lost(pkt, "link_break", active)
 
-    def _hello_tick(self, now: float) -> None:
+    def _hello_tick(self) -> None:
+        now = self.engine.now
         self.engine.send(self.nid, Packet("HELLO", CONTROL_SIZE, self.nid,
                                           BROADCAST, 1, now, None))
         silence = HELLO_LOSS_THRESHOLD * HELLO_INTERVAL
@@ -581,21 +584,22 @@ class HopByHopNode(Node):
                   if now - heard > silence]
         for nbr in broken:
             del self.last_heard[nbr]
-            self._neighbor_lost(self._drop_routes_via(nbr, now), now)
+            self._neighbor_lost(self._drop_routes_via(nbr))
 
-    def _valid_route(self, dest: int, now: float) -> RouteEntry | None:
+    def _valid_route(self, dest: int) -> RouteEntry | None:
         entry = self.routes.get(dest)
         if entry is None:
             return None
-        if now >= entry.valid_until:
+        if self.engine.now >= entry.valid_until:
             del self.routes[dest]
             return None
         return entry
 
     def _install_route(self, dest: int, next_hop: int, hops: int, seq: int,
-                       now: float, seq_valid: bool = False) -> None:
+                       seq_valid: bool = False) -> None:
         if dest == self.nid:
             return
+        now = self.engine.now
         current = self.routes.get(dest)
         if current is not None and now < current.valid_until \
                 and not (seq_valid and not current.seq_valid):
@@ -610,7 +614,7 @@ class HopByHopNode(Node):
                                        last_data_use=last_use)
         self._last_hops[dest] = hops
 
-    def _drop_routes_via(self, next_hop: int, now: float) -> list[int]:
+    def _drop_routes_via(self, next_hop: int) -> list[int]:
         """Forget every route through next_hop.
 
         Returns the destinations of those that carried data recently: only
@@ -621,6 +625,7 @@ class HopByHopNode(Node):
                if entry.next_hop == next_hop]
         for dest, _ in via:
             del self.routes[dest]
+        now = self.engine.now
         return [dest for dest, entry in via
                 if now - entry.last_data_use <= ROUTE_LIFETIME]
 
@@ -634,23 +639,21 @@ class AodvNode(HopByHopNode):
         super().__init__(nid, variant, params, engine)
         self.repairs: dict[int, RepairState] = {}
 
-    def _reply_en_route(self, info: RreqInfo, path: tuple, now: float) -> bool:
-        entry = self._valid_route(info.target, now)
+    def _reply_en_route(self, info: RreqInfo, path: tuple) -> bool:
+        entry = self._valid_route(info.target)
         if entry is None or not entry.seq_valid:
             return False
-        self._send_rrep(info.orig, info.target, entry.hop_count, entry.seq, now)
+        self._send_rrep(info.orig, info.target, entry.hop_count, entry.seq)
         return True
 
-    def _route_lost(self, pkt: Packet, reason: str, active: list[int],
-                    now: float) -> None:
-        self._start_repair(pkt.dst, now, pkt)
+    def _route_lost(self, pkt: Packet, reason: str, active: list[int]) -> None:
+        self._start_repair(pkt.dst, pkt)
 
-    def _neighbor_lost(self, active: list[int], now: float) -> None:
+    def _neighbor_lost(self, active: list[int]) -> None:
         for dest in active:
-            self._start_repair(dest, now)
+            self._start_repair(dest)
 
-    def _start_repair(self, dest: int, now: float,
-                      pkt: Packet | None = None) -> None:
+    def _start_repair(self, dest: int, pkt: Packet | None = None) -> None:
         """Bounded re-discovery next to a broken link, sized by the last
         known hop count to dest."""
         state = self.repairs.get(dest)
@@ -659,7 +662,7 @@ class AodvNode(HopByHopNode):
             self.repairs[dest] = state
             ttl = max(1, self._last_hops.get(dest, 1)) + self.params.local_add_ttl
             self.seq += 1
-            self._send_rreq(dest, ttl, now)
+            self._send_rreq(dest, ttl)
             self.engine.schedule_in(self.ring_wait(self.params, 0, ttl),
                                     self._repair_timeout, dest, state.generation)
         if pkt is not None:
@@ -669,21 +672,20 @@ class AodvNode(HopByHopNode):
         state = self.repairs.get(dest)
         if state is None or state.generation != generation:
             return
-        now = self.engine.now
-        if self._valid_route(dest, now) is not None:
-            self._route_confirmed(dest, now)
+        if self._valid_route(dest) is not None:
+            self._route_confirmed(dest)
             return
         del self.repairs[dest]
         for pkt in state.buffer:
             self.engine.drop_data(pkt, "repair_failed")
-        self._broadcast_rerr((dest,), now)
+        self._broadcast_rerr((dest,))
 
-    def _route_confirmed(self, dest: int, now: float) -> None:
+    def _route_confirmed(self, dest: int) -> None:
         state = self.repairs.pop(dest, None)
         if state is None:
             return
         for pkt in state.buffer:
-            self._dispatch_data(pkt, now)
+            self._dispatch_data(pkt)
 
     def pending_data_packets(self) -> list[Packet]:
         return super().pending_data_packets() + [

@@ -15,6 +15,7 @@ from .analytics import (
     LocationDistribution,
     RingPopulation,
     TtlSchedule,
+    avg_degree,
 )
 
 
@@ -148,7 +149,7 @@ def connectivity_profile(graph: Graph, source: int, p_s: float,
             d_f = d_f[:horizon]
         else:
             d_f.extend(0.0 for _ in range(horizon - len(d_f)))
-    d_avg = sum(d_f) / len(d_f) if d_f else 0.0
+    d_avg = avg_degree(d_f, len(d_f)) if d_f else 0.0
     return ConnectivityProfile(p_s=p_s, d_avg=d_avg, d_f=tuple(d_f))
 
 

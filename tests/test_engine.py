@@ -38,7 +38,7 @@ def test_link_model_serialization_delay():
                                   arena=Arena(100.0, 100.0, 250.0),
                                   traffic_pairs=0, duration=1.0))
     arrivals = []
-    engine.nodes[1].on_packet = lambda pkt, frm, now: arrivals.append(now)
+    engine.nodes[1].on_packet = lambda pkt, frm: arrivals.append(engine.now)
     hello = Packet("HELLO", 512, 0, BROADCAST, 1, 0.0)
     engine.schedule_in(0.0, engine.send, 0, hello)
     engine.run()
@@ -312,11 +312,19 @@ def test_data_conservation_under_churn():
         assert accounted == metrics.data_sent
 
 
+def remove_link(engine, a, b):
+    """Force a link down by editing the neighbor lists in place; the next
+    mobility recompute would undo it."""
+    for u, v in ((a, b), (b, a)):
+        if v in engine.neighbor_lists[u]:
+            engine.neighbor_lists[u].remove(v)
+
+
 def test_remove_link_is_symmetric():
     cfg = static_config(arena=Arena(100.0, 100.0, 250.0), traffic_pairs=0)
     engine = Engine(cfg)
     assert 1 in engine.neighbor_lists[0]
-    engine.remove_link(0, 1)
+    remove_link(engine, 0, 1)
     assert 1 not in engine.neighbor_lists[0]
     assert 0 not in engine.neighbor_lists[1]
 
@@ -341,10 +349,10 @@ def test_stale_cache_purged_after_mid_run_break():
                      DataInfo(uid=uid[0], flow=0))
         uid[0] += 1
         engine.metrics.data_sent += 1
-        src.send_data(pkt, engine.now)
+        src.send_data(pkt)
 
     engine.schedule_in(0.0, send_one)
-    engine.schedule_in(2.0, engine.remove_link, 2, 3)
+    engine.schedule_in(2.0, remove_link, engine, 2, 3)
     engine.schedule_in(2.5, send_one)
     metrics = engine.run()
     assert metrics.data_delivered >= 1

@@ -304,7 +304,7 @@ def test_probe_matches_traced_reference(protocol, variant, seed, p_s):
                     duration=sum(probe.waits) + 1.0, warmup=0.0,
                     traffic_pairs=0, p_s=p_s, seed=seed, trace=True)
     engine = Engine(cfg)
-    engine.schedule_in(0.0, engine.nodes[0].request_route, 30, 0.0)
+    engine.schedule_in(0.0, engine.nodes[0].request_route, 30)
     engine.run()
 
     opened = _own_rreq_sends(engine.trace, 0)
@@ -328,11 +328,11 @@ def test_local_repair_records_its_request(monkeypatch):
     repairs = []
     real = AodvNode._start_repair
 
-    def spy(self, dest, now, pkt=None):
+    def spy(self, dest, pkt=None):
         # a repair started for a held data packet is a forwarder's repair
         if dest not in self.repairs and pkt is not None:
-            repairs.append((self.nid, now, len(self.rreq_opened)))
-        real(self, dest, now, pkt)
+            repairs.append((self.nid, self.engine.now, len(self.rreq_opened)))
+        real(self, dest, pkt)
 
     monkeypatch.setattr(AodvNode, "_start_repair", spy)
     cfg = RunConfig(protocol=Protocol.AODV, variant=Variant.ERS1, n_nodes=30,

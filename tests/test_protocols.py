@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from ringsim import Arena, Engine, Protocol, RunConfig, Variant, default_params
 from ringsim.packets import DataInfo, Packet, RreqInfo
-from ringsim.protocols import (NODE_CLASSES, AodvNode, HopByHopNode, Node,
-                               RouteCache, SourceRouteNode)
+from ringsim.protocols import (NODE_CLASSES, ROUTE_LIFETIME, AodvNode,
+                               HopByHopNode, Node, RouteCache,
+                               SourceRouteNode)
 
 
 class FakeEngine:
@@ -96,7 +97,7 @@ def test_ring_wait_values():
 
 def test_initiate_discovery_first_ring():
     node, engine = make_node(Protocol.AODV, Variant.ERS1)
-    node.send_data(data_packet(0, 7), 0.0)
+    node.send_data(data_packet(0, 7))
     assert engine.sent_kinds() == ["RREQ"]
     _, rreq, next_hop = engine.sent[0]
     assert next_hop is None
@@ -109,24 +110,44 @@ def test_initiate_discovery_first_ring():
 
 def test_initiate_discovery_dsr_enhanced():
     node, engine = make_node(Protocol.DSR, Variant.ERS2)
-    node.send_data(data_packet(0, 7), 0.0)
+    node.send_data(data_packet(0, 7))
     _, rreq, _ = engine.sent[0]
     assert rreq.ttl == 3
     assert engine.timers[0][0] == 0.09
     assert rreq.info.route == (0,)
 
 
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_node_reads_engine_clock(protocol):
+    """Handlers take no time argument: what a node stamps and arms follows
+    engine.now."""
+    node, engine = make_node(protocol, Variant.ERS1, nid=0)
+    engine.now = 3.0
+    node.send_data(data_packet(0, 7))
+    assert node.rreq_opened == [3.0]
+    _, rreq, _ = engine.sent[0]
+    assert rreq.kind == "RREQ" and rreq.created_at == 3.0
+    wait = node.ring_wait(node.params, 0, node.rings[0])
+    assert engine.timers[0][0] == wait
+    assert node.pending[7].wait_deadline == 3.0 + wait
+    if isinstance(node, HopByHopNode):
+        # a passing request installs the reverse route to its originator
+        node.on_packet(rreq_packet(5, 9, req_id=1, ttl=4), frm=5)
+        assert node.routes[5].valid_until == 3.0 + ROUTE_LIFETIME
+
+
 def test_pending_discovery_coalesces():
     node, engine = make_node(Protocol.AODV, Variant.ERS1)
-    node.send_data(data_packet(0, 7, uid=0), 0.0)
-    node.send_data(data_packet(0, 7, uid=1), 0.1)
+    node.send_data(data_packet(0, 7, uid=0))
+    engine.now = 0.1
+    node.send_data(data_packet(0, 7, uid=1))
     assert engine.sent_kinds().count("RREQ") == 1
     assert len(node.queues[7]) == 2
 
 
 def test_timeout_walks_schedule():
     node, engine = make_node(Protocol.AODV, Variant.ERS1)
-    node.request_route(7, 0.0)
+    node.request_route(7)
     engine.now = 0.32
     delay, fn, args = engine.timers[0]
     fn(*args)
@@ -135,7 +156,7 @@ def test_timeout_walks_schedule():
 
 def test_timeout_dsr_wait_doubles():
     node, engine = make_node(Protocol.DSR, Variant.ERS1)
-    node.request_route(7, 0.0)
+    node.request_route(7)
     engine.now = 0.03
     delay, fn, args = engine.timers[0]
     assert delay == 0.030
@@ -146,7 +167,7 @@ def test_timeout_dsr_wait_doubles():
 
 def test_schedule_exhaustion_drops_queue():
     node, engine = make_node(Protocol.AODV, Variant.ERS1)
-    node.send_data(data_packet(0, 7), 0.0)
+    node.send_data(data_packet(0, 7))
     for step in range(len(node.rings)):
         delay, fn, args = engine.timers[step]
         engine.now += delay
@@ -158,7 +179,7 @@ def test_schedule_exhaustion_drops_queue():
 
 def test_stale_timeout_generation_ignored():
     node, engine = make_node(Protocol.AODV, Variant.ERS1)
-    node.request_route(7, 0.0)
+    node.request_route(7)
     _, fn, args = engine.timers[0]
     fn(*args)   # ring 2 emitted, generation bumped
     fn(*args)   # stale replay of the first timer must do nothing
@@ -169,31 +190,32 @@ def test_stale_timeout_generation_ignored():
 
 def test_duplicate_rreq_dropped():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5)
-    node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=0, now=0.0)
-    node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=2, now=0.1)
+    node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=0)
+    engine.now = 0.1
+    node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=2)
     assert engine.sent_kinds() == ["RREQ"]
     assert [r for _, _, r in engine.other_drops] == ["duplicate"]
 
 
 def test_rreq_ttl_gates_rebroadcast():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5)
-    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=1), frm=0, now=0.0)
+    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=1), frm=0)
     assert engine.sent == []
-    node.on_packet(rreq_packet(0, 9, req_id=2, ttl=2), frm=0, now=0.0)
+    node.on_packet(rreq_packet(0, 9, req_id=2, ttl=2), frm=0)
     assert engine.sent[0][1].ttl == 1
     assert engine.sent[0][1].info.hop_count == 1
 
 
 def test_negative_ttl_is_protocol_error():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5)
-    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=-1), frm=0, now=0.0)
+    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=-1), frm=0)
     assert engine.errors == 1
     assert engine.sent == []
 
 
 def test_destination_replies_with_rrep():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=9)
-    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0, now=0.0)
+    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0)
     kinds = engine.sent_kinds()
     assert kinds == ["RREP"]
     _, rrep, next_hop = engine.sent[0]
@@ -204,7 +226,7 @@ def test_destination_replies_with_rrep():
 def test_dsr_destination_reply_carries_route():
     node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=9)
     node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4, hop_count=1, route=(0, 4)),
-                   frm=4, now=0.0)
+                   frm=4)
     _, rrep, next_hop = engine.sent[0]
     assert rrep.kind == "RREP"
     assert rrep.info.route == (0, 4, 9)
@@ -214,20 +236,20 @@ def test_dsr_destination_reply_carries_route():
 
 def test_aodv_intermediate_replies_only_with_confirmed_seq():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5)
-    node._install_route(9, next_hop=6, hops=2, seq=4, now=0.0)  # reverse-learned
-    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0, now=0.0)
+    node._install_route(9, next_hop=6, hops=2, seq=4)  # reverse-learned
+    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0)
     assert engine.sent_kinds() == ["RREQ"]  # forwarded, not answered
 
     node2, engine2 = make_node(Protocol.AODV, Variant.ERS1, nid=5)
-    node2._install_route(9, next_hop=6, hops=2, seq=4, now=0.0, seq_valid=True)
-    node2.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0, now=0.0)
+    node2._install_route(9, next_hop=6, hops=2, seq=4, seq_valid=True)
+    node2.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0)
     assert engine2.sent_kinds() == ["RREP"]
 
 
 def test_dymo_intermediate_never_replies():
     node, engine = make_node(Protocol.DYMO, Variant.ERS1, nid=5)
-    node._install_route(9, next_hop=6, hops=2, seq=4, now=0.0, seq_valid=True)
-    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0, now=0.0)
+    node._install_route(9, next_hop=6, hops=2, seq=4, seq_valid=True)
+    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0)
     assert engine.sent_kinds() == ["RREQ"]
 
 
@@ -236,12 +258,13 @@ def test_dymo_intermediate_never_replies():
 def _break_forwarded_link(protocol, variant, hops_to_dest, nid=3):
     """A forwarder with a route to 9 via 8 loses the link while sending data."""
     node, engine = make_node(protocol, variant, nid=nid)
+    engine.now = 1.0
     if protocol is Protocol.DSR:
         pkt = _dsr_data((0, nid, 8, 9), pos=1, dst=9)
     else:
-        node._install_route(9, next_hop=8, hops=hops_to_dest, seq=1, now=1.0)
+        node._install_route(9, next_hop=8, hops=hops_to_dest, seq=1)
         pkt = data_packet(0, 9)
-    node.on_unicast_fail(pkt, next_hop=8, now=1.0)
+    node.on_unicast_fail(pkt, next_hop=8)
     return node, engine, pkt
 
 
@@ -418,9 +441,11 @@ def test_cache_matches_scan_reference(capacity, ops):
 def test_hello_declares_silent_neighbor_broken():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=3)
     node.last_heard[8] = 0.0
-    node._install_route(9, next_hop=8, hops=2, seq=1, now=2.4)
+    engine.now = 2.4
+    node._install_route(9, next_hop=8, hops=2, seq=1)
     node.routes[9].last_data_use = 2.4
-    node.on_hello_tick(2.5)
+    engine.now = 2.5
+    node.on_hello_tick()
     assert engine.sent_kinds() == ["HELLO", "RREQ"]   # repair follows the break
     assert 8 not in node.last_heard
     assert 9 not in node.routes
@@ -429,7 +454,8 @@ def test_hello_declares_silent_neighbor_broken():
 def test_hello_keeps_recent_neighbor():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=3)
     node.last_heard[8] = 1.6
-    node.on_hello_tick(2.5)
+    engine.now = 2.5
+    node.on_hello_tick()
     assert engine.sent_kinds() == ["HELLO"]
     assert 8 in node.last_heard
 
@@ -482,7 +508,8 @@ def test_salvage_uses_cached_alternative():
     node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=1)
     node.cache.insert((1, 4, 3))
     pkt = _dsr_data((0, 1, 2, 3), pos=1)
-    node.on_unicast_fail(pkt, next_hop=2, now=1.0)
+    engine.now = 1.0
+    node.on_unicast_fail(pkt, next_hop=2)
     sender, sent, next_hop = engine.sent[0]
     assert sent is pkt and next_hop == 4
     assert pkt.info.route == (1, 4, 3)
@@ -493,7 +520,8 @@ def test_salvage_exhausted_drops_and_reports():
     node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=1)
     node.cache.insert((1, 4, 3))
     pkt = _dsr_data((0, 1, 2, 3), pos=1, salvage=2)
-    node.on_unicast_fail(pkt, next_hop=2, now=1.0)
+    engine.now = 1.0
+    node.on_unicast_fail(pkt, next_hop=2)
     assert [r for _, r in engine.data_drops] == ["salvage_exhausted"]
     kinds = engine.sent_kinds()
     assert kinds == ["RERR"]
@@ -506,14 +534,16 @@ def test_link_purge_on_failure():
     node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=1)
     node.cache.insert((0, 1, 2, 3))
     pkt = _dsr_data((0, 1, 2, 3), pos=1)
-    node.on_unicast_fail(pkt, next_hop=2, now=1.0)
+    engine.now = 1.0
+    node.on_unicast_fail(pkt, next_hop=2)
     assert node.cache.lookup(1, 3) is None
 
 
 def test_gratuitous_reply_shortens_route():
     node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=3)
     pkt = _dsr_data((0, 1, 2, 3, 4), pos=1, dst=4)  # node 0 just sent to 1
-    node.on_overhear(pkt, frm=0, now=1.0)
+    engine.now = 1.0
+    node.on_overhear(pkt)
     _, rrep, next_hop = engine.sent[0]
     assert rrep.kind == "RREP"
     assert rrep.info.gratuitous
@@ -525,10 +555,13 @@ def test_gratuitous_reply_shortens_route():
 def test_gratuitous_reply_rate_limited():
     node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=3)
     pkt = _dsr_data((0, 1, 2, 3, 4), pos=1, dst=4)
-    node.on_overhear(pkt, frm=0, now=1.0)
-    node.on_overhear(pkt, frm=0, now=1.5)
+    engine.now = 1.0
+    node.on_overhear(pkt)
+    engine.now = 1.5
+    node.on_overhear(pkt)
     assert len(engine.sent) == 1
-    node.on_overhear(pkt, frm=0, now=2.5)
+    engine.now = 2.5
+    node.on_overhear(pkt)
     assert len(engine.sent) == 2
 
 

@@ -409,7 +409,7 @@ def test_unit_disk_neighbors_matches_per_row_reference():
         rows = unit_disk_neighbors(positions, 250.0)
         assert rows == _reference_neighbors(positions, 250.0)
         assert all(type(row) is list for row in rows)
-        # Engine.remove_link edits rows in place, so no two may be one list
+        # remove_link in test_engine edits rows in place: no two may share a list
         assert len({id(row) for row in rows}) == len(rows)
     assert unit_disk_neighbors([(0.0, 0.0)], 250.0) == [[]]
     assert unit_disk_neighbors([(0.0, 0.0), (250.0, 0.0)], 250.0) == [[1], [0]]
