@@ -37,8 +37,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    protocol = Protocol(args.protocol.lower())
-    variant = Variant(args.variant.lower())
+    protocol = Protocol(args.protocol)
+    variant = Variant(args.variant)
     node_class = NODE_CLASSES[protocol]
     params = default_params(protocol, variant)
     schedule = build_schedule(protocol, variant)

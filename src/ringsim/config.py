@@ -1,13 +1,18 @@
 """Flat key = value scenario configuration for sweep runs.
 
 Grammar: one `key = value` per line, `#` starts a comment, blank lines are
-ignored, lists are written `[a, b, c]`.  Unknown keys are rejected; missing
-keys take the documented defaults.
+ignored, lists are written `[a, b, c]`.  Each key is a `ScenarioConfig` field
+and parses as that field is typed: a tuple field takes a list of its item
+type, an enum matches its values case-insensitively, and any other type is
+called on the text.  Unknown keys are rejected; missing keys take the
+documented defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 from .analytics import Protocol, Variant
 from .engine import RunConfig
@@ -67,16 +72,7 @@ class ScenarioConfig:
         )
 
 
-_INT_KEYS = {"nodes", "traffic_pairs", "packet_size"}
-_FLOAT_KEYS = {"arena_width", "arena_height", "radio_range", "v_max",
-               "duration", "warmup", "traffic_rate", "p_s"}
-_FLOAT_LIST_KEYS = {"pause_times"}
-_INT_LIST_KEYS = {"seeds"}
-_STR_KEYS = {"out_dir"}
-_ENUM_LIST_KEYS = {"protocols": Protocol, "variants": Variant}
-
-_ALL_KEYS = (_INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _INT_LIST_KEYS
-             | _STR_KEYS | set(_ENUM_LIST_KEYS))
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
 
 
 def _parse_list(raw: str, lineno: int) -> list[str]:
@@ -89,22 +85,19 @@ def _parse_list(raw: str, lineno: int) -> list[str]:
     return [item.strip() for item in inner.split(",")]
 
 
-def _parse_scalar(raw: str, kind, key: str, lineno: int):
+def _parse_value(raw: str, kind, key: str, lineno: int):
+    if issubclass(kind, Enum):
+        try:
+            return kind(raw.lower())
+        except ValueError:
+            allowed = ", ".join(member.value for member in kind)
+            raise ConfigError(f"line {lineno}: {key} entries must be one of "
+                              f"{allowed}, got {raw!r}") from None
     try:
         return kind(raw)
     except ValueError:
         raise ConfigError(
             f"line {lineno}: cannot parse {raw!r} as {kind.__name__} for {key}"
-        ) from None
-
-
-def _parse_enum(raw: str, enum_cls, key: str, lineno: int):
-    try:
-        return enum_cls(raw.strip().lower())
-    except ValueError:
-        allowed = ", ".join(member.value for member in enum_cls)
-        raise ConfigError(
-            f"line {lineno}: {key} entries must be one of {allowed}, got {raw!r}"
         ) from None
 
 
@@ -117,26 +110,17 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
-            values[key] = _parse_scalar(raw, int, key, lineno)
-        elif key in _FLOAT_KEYS:
-            values[key] = _parse_scalar(raw, float, key, lineno)
-        elif key in _STR_KEYS:
-            values[key] = raw
-        elif key in _FLOAT_LIST_KEYS:
-            values[key] = tuple(_parse_scalar(item, float, key, lineno)
-                                for item in _parse_list(raw, lineno))
-        elif key in _INT_LIST_KEYS:
-            values[key] = tuple(_parse_scalar(item, int, key, lineno)
+        kind = _FIELD_TYPES[key]
+        if get_origin(kind) is tuple:
+            item_kind = get_args(kind)[0]
+            values[key] = tuple(_parse_value(item, item_kind, key, lineno)
                                 for item in _parse_list(raw, lineno))
         else:
-            enum_cls = _ENUM_LIST_KEYS[key]
-            values[key] = tuple(_parse_enum(item, enum_cls, key, lineno)
-                                for item in _parse_list(raw, lineno))
+            values[key] = _parse_value(raw, kind, key, lineno)
     return ScenarioConfig(**values)
 
 

@@ -8,6 +8,7 @@ import os
 import statistics
 from dataclasses import dataclass, fields
 from multiprocessing import Pool
+from typing import get_args, get_type_hints
 
 from .analytics import (
     Protocol,
@@ -165,30 +166,30 @@ def rows_to_csv_text(rows: list[ResultRow]) -> str:
     return buffer.getvalue()
 
 
-def _parse_optional(text: str, kind):
-    return kind(text) if text != "" else None
+_ROW_TYPES = get_type_hints(ResultRow)
+
+
+def _parse_cell(text: str, kind):
+    if get_args(kind):  # `T | None`: an empty cell is None
+        if text == "":
+            return None
+        kind = get_args(kind)[0]
+    return kind(text)
 
 
 def read_results_csv(path: str) -> list[ResultRow]:
-    rows = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        for record in reader:
-            rows.append(ResultRow(
-                protocol=record["protocol"],
-                variant=record["variant"],
-                pause_time=float(record["pause_time"]),
-                seed=int(record["seed"]),
-                throughput_bps=_parse_optional(record["throughput_bps"], float),
-                e2ed_s=_parse_optional(record["e2ed_s"], float),
-                nrl=_parse_optional(record["nrl"], float),
-                discovery_successes=_parse_optional(
-                    record["discovery_successes"], int),
-                analytic_b_m=_parse_optional(record["analytic_b_m"], float),
-                sim_rreq_tx=_parse_optional(record["sim_rreq_tx"], int),
-                error=record["error"],
-            ))
-    return rows
+        header = reader.fieldnames or []
+        if header != CSV_COLUMNS:
+            missing = [col for col in CSV_COLUMNS if col not in header]
+            extra = [col for col in header if col not in CSV_COLUMNS]
+            raise ValueError(f"{path}: not a results file, the header must be "
+                             f"{','.join(CSV_COLUMNS)} (missing {missing}, "
+                             f"extra {extra})")
+        return [ResultRow(**{col: _parse_cell(record[col], _ROW_TYPES[col])
+                             for col in CSV_COLUMNS})
+                for record in reader]
 
 
 _METRICS = ("throughput_bps", "e2ed_s", "nrl")

@@ -65,7 +65,6 @@ class DiscoveryState:
 
     destination: int
     ring_index: int = 0
-    wait_deadline: float = 0.0
     generation: int = 0
 
 
@@ -237,7 +236,6 @@ class Node:
         ttl = self.rings[state.ring_index]
         self._send_rreq(state.destination, ttl)
         wait = self.ring_wait(self.params, state.ring_index, ttl)
-        state.wait_deadline = self.engine.now + wait
         state.generation += 1
         self.engine.schedule_in(wait, self._discovery_timeout,
                                 state.destination, state.generation)

@@ -11,30 +11,28 @@ from multiprocessing import Pool
 
 import pytest
 
-from ringsim import (
-    Arena,
+from ringsim.analytics import (
     ConnectivityProfile,
-    Engine,
     LocationDistribution,
     Protocol,
-    RunConfig,
     Variant,
     blind_flood_cost,
     build_schedule,
-    compute_e2ed,
-    compute_nrl,
-    compute_throughput,
     default_params,
     dsr_expected_wait,
     expected_locating_time,
-    generate_topology,
-    hop_distances,
-    probe_discovery,
     ring_cost_ttl,
-    rows_to_csv_text,
-    run_sweep,
 )
 from ringsim.config import ScenarioConfig
+from ringsim.engine import (
+    Engine,
+    RunConfig,
+    compute_e2ed,
+    compute_nrl,
+    compute_throughput,
+)
+from ringsim.experiment import probe_discovery, rows_to_csv_text, run_sweep
+from ringsim.topology import Arena, generate_topology, hop_distances
 
 ALL_CELLS = [(p, v) for p in Protocol for v in Variant]
 DENSE_ARENA = Arena(1000.0, 1000.0, 250.0)

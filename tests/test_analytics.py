@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ringsim import (
+from ringsim.analytics import (
     ConnectivityProfile,
     InsufficientProfileError,
     InvalidScheduleError,

@@ -8,19 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsim import (
-    Arena,
+from ringsim.analytics import Protocol, Variant
+from ringsim.engine import (
     Engine,
     MetricsRecord,
-    Protocol,
     RunConfig,
-    Variant,
     compute_e2ed,
     compute_nrl,
     compute_throughput,
     format_trace,
 )
 from ringsim.packets import BROADCAST, CONTROL_KINDS, Packet
+from ringsim.topology import Arena
 
 
 def static_config(**overrides):

@@ -2,30 +2,35 @@
 
 import hashlib
 import os
+import re
+from dataclasses import fields
 
 import pytest
 
 import ringsim.experiment as experiment
-from ringsim import (
-    Arena,
+from ringsim.analytics import Protocol, Variant
+from ringsim.cli import main as cli_main
+from ringsim.config import (
     ConfigError,
-    Engine,
-    Protocol,
-    ResultRow,
-    RunConfig,
     ScenarioConfig,
-    Variant,
-    analytic_compare,
     parse_config,
     parse_config_text,
+)
+from ringsim.engine import Engine, RunConfig
+from ringsim.experiment import (
+    CSV_COLUMNS,
+    ResultRow,
+    analytic_compare,
+    emit_report,
+    probe_discovery,
     read_results_csv,
     rows_to_csv_text,
     run_sweep,
     summarize,
+    sweep_cells,
 )
-from ringsim.cli import main as cli_main
-from ringsim.experiment import emit_report, probe_discovery, sweep_cells
 from ringsim.protocols import AodvNode
+from ringsim.topology import Arena
 
 
 # -------------------------------------------------------------------- config
@@ -88,6 +93,12 @@ def test_config_single_pause_cell():
     ("packet_size = 0\n", "packet_size must be >= 1"),
     ("p_s = 1.5\n", r"p_s must lie in \[0, 1\]"),
     ("nodes = 1\n", "traffic_pairs needs at least 2 nodes"),
+    # each key parses as its ScenarioConfig field is typed
+    ("seeds = [1, x]\n", "cannot parse 'x' as int for seeds"),
+    ("pause_times = [0, soon]\n",
+     "cannot parse 'soon' as float for pause_times"),
+    ("variants = [ers3]\n", "variants entries must be one of ers1, ers2"),
+    ("seeds = []\n", "empty list"),
 ])
 def test_config_rejects_bad_input(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -106,10 +117,21 @@ def test_scenario_rejects_empty_list(name):
         ScenarioConfig(**{name: ()})
 
 
+EXAMPLE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "scenario-example.cfg")
+
+
 def test_example_config_is_the_default():
-    path = os.path.join(os.path.dirname(__file__), os.pardir,
-                        "scenario-example.cfg")
-    assert parse_config(path) == ScenarioConfig()
+    assert parse_config(EXAMPLE_CONFIG) == ScenarioConfig()
+
+
+def test_example_config_sets_every_field_once():
+    # the parser takes its keys from ScenarioConfig, so the documented
+    # example is the one key list that can fall behind
+    with open(EXAMPLE_CONFIG, encoding="utf-8") as handle:
+        keys = [body.split("=", 1)[0].strip() for body in
+                (line.split("#", 1)[0] for line in handle) if "=" in body]
+    assert sorted(keys) == sorted(f.name for f in fields(ScenarioConfig))
 
 
 def test_config_error_carries_line_number():
@@ -232,6 +254,21 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "results.csv"
     path.write_text(rows_to_csv_text(rows), encoding="utf-8")
     assert read_results_csv(str(path)) == rows
+
+
+@pytest.mark.parametrize("drop,add", [
+    ((), ("note",)),
+    (("sim_rreq_tx",), ()),
+    (("nrl",), ("routing_load",)),
+])
+def test_csv_rejects_foreign_header(tmp_path, drop, add):
+    header = [col for col in CSV_COLUMNS if col not in drop] + list(add)
+    path = tmp_path / "results.csv"
+    path.write_text(",".join(header) + "\n" + ",".join("1" * len(header))
+                    + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"missing {list(drop)}, extra {list(add)}")):
+        read_results_csv(str(path))
 
 
 def test_csv_round_trips_real_rows(tmp_path):

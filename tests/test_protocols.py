@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsim import Arena, Engine, Protocol, RunConfig, Variant, default_params
+from ringsim.analytics import Protocol, Variant, default_params
+from ringsim.engine import Engine, RunConfig
 from ringsim.packets import DataInfo, Packet, RreqInfo
-from ringsim.protocols import (NODE_CLASSES, ROUTE_LIFETIME, AodvNode,
-                               HopByHopNode, Node, RouteCache,
-                               SourceRouteNode)
+from ringsim.protocols import (
+    NODE_CLASSES,
+    ROUTE_LIFETIME,
+    AodvNode,
+    HopByHopNode,
+    Node,
+    RouteCache,
+    SourceRouteNode,
+)
+from ringsim.topology import Arena
 
 
 class FakeEngine:
@@ -105,7 +113,6 @@ def test_initiate_discovery_first_ring():
     assert rreq.info.ring_ttl == 2
     delay, _, _ = engine.timers[0]
     assert delay == 0.32
-    assert node.pending[7].wait_deadline == 0.32
 
 
 def test_initiate_discovery_dsr_enhanced():
@@ -129,7 +136,6 @@ def test_node_reads_engine_clock(protocol):
     assert rreq.kind == "RREQ" and rreq.created_at == 3.0
     wait = node.ring_wait(node.params, 0, node.rings[0])
     assert engine.timers[0][0] == wait
-    assert node.pending[7].wait_deadline == 3.0 + wait
     if isinstance(node, HopByHopNode):
         # a passing request installs the reverse route to its originator
         node.on_packet(rreq_packet(5, 9, req_id=1, ttl=4), frm=5)
@@ -184,6 +190,21 @@ def test_stale_timeout_generation_ignored():
     fn(*args)   # ring 2 emitted, generation bumped
     fn(*args)   # stale replay of the first timer must do nothing
     assert len([k for k in engine.sent_kinds() if k == "RREQ"]) == 2
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: every DiscoveryState starts at generation 1, so a reply "
+    "timer left over from a finished discovery matches the next one"))
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_stale_reply_timer_leaves_next_discovery_alone(protocol):
+    node, engine = make_node(protocol, Variant.ERS1)
+    node.request_route(7)
+    _, stale_fn, stale_args = engine.timers[0]
+    node._finish_discovery(7, True)
+    node.request_route(7)
+    stale_fn(*stale_args)   # the first discovery's timer fires late
+    assert node.pending[7].ring_index == 0
+    assert engine.sent_kinds().count("RREQ") == 2
 
 
 # -------------------------------------------------------------------- RREQ

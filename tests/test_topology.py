@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringsim import (
+from ringsim.analytics import TtlSchedule
+from ringsim.topology import (
     Arena,
-    TtlSchedule,
     WaypointState,
     bfs_rings,
     connectivity_profile,
@@ -21,9 +21,9 @@ from ringsim import (
     hop_distances,
     init_waypoints,
     location_distribution,
+    unit_disk_neighbors,
     waypoint_step,
 )
-from ringsim.topology import unit_disk_neighbors
 
 ARENA = Arena(1000.0, 1000.0, 250.0)
 
