@@ -173,17 +173,6 @@ class ConnectivityProfile:
 
 
 @dataclass(frozen=True)
-class RingPopulation:
-    """counts[i] = number of nodes at exact hop distance i+1 from a source."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValueError("ring counts must be >= 0")
-
-
-@dataclass(frozen=True)
 class LocationDistribution:
     """P(i) that the destination is first covered by ring i, i = 1..threshold."""
 

@@ -303,7 +303,7 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
     engine.schedule_in(0.0, engine.nodes[source].request_route, ghost)
     metrics = engine.run()
 
-    counts = bfs_rings(engine.graph0, source).counts
+    counts = bfs_rings(engine.graph0, source)
     census = []
     for ttl in rings:
         padded = counts + (0,) * max(0, ttl - 1 - len(counts))

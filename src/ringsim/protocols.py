@@ -60,18 +60,17 @@ class RouteEntry:
 
 
 @dataclass
-class DiscoveryState:
-    """Progress of one pending route discovery."""
+class PendingRequest:
+    """One route search in progress, for a discovery or an AODV repair.
+
+    ``req_id`` names the request whose reply timer is live: a timer armed for
+    any other id is stale.  ``queue`` holds the data parked until it ends.
+    """
 
     destination: int
+    req_id: int = -1
     ring_index: int = 0
-    generation: int = 0
-
-
-@dataclass
-class RepairState:
-    generation: int
-    buffer: deque = field(default_factory=deque)
+    queue: deque = field(default_factory=deque)
 
 
 class RouteCache(dict):
@@ -146,8 +145,7 @@ class Node:
         # send time of each request this node originated; index = request id
         self.rreq_opened: list[float] = []
         self.seen_requests: set[tuple[int, int]] = set()
-        self.pending: dict[int, DiscoveryState] = {}
-        self.queues: dict[int, deque] = {}
+        self.pending: dict[int, PendingRequest] = {}
 
     # -------------------------------------------------------- engine handlers
 
@@ -197,24 +195,16 @@ class Node:
         self._dispatch_data(pkt)
 
     def _enqueue_data(self, dest: int, pkt: Packet) -> None:
-        queue = self.queues.setdefault(dest, deque())
+        # callers only enqueue when no usable route exists, so a discovery is
+        # always the drain path
+        queue = self.request_route(dest).queue
         if len(queue) >= QUEUE_LIMIT:
             self.engine.drop_data(queue.popleft(), "queue_overflow")
         queue.append(pkt)
-        # callers only enqueue when no usable route exists, so a discovery is
-        # always the drain path
-        self.request_route(dest)
-
-    def _drain_queue(self, dest: int) -> None:
-        queue = self.queues.pop(dest, None)
-        if not queue:
-            return
-        for pkt in queue:
-            self._dispatch_data(pkt)
 
     def pending_data_packets(self) -> list[Packet]:
         """Every data packet currently parked in this node (for conservation)."""
-        return [pkt for queue in self.queues.values() for pkt in queue]
+        return [pkt for state in self.pending.values() for pkt in state.queue]
 
     # ------------------------------------------------------------- discovery
 
@@ -223,24 +213,25 @@ class Node:
         """Ring TTLs a discovery attempt actually walks."""
         return build_schedule(cls.protocol, variant).rings
 
-    def request_route(self, dest: int) -> None:
-        """Start a discovery for dest unless one is already pending."""
-        if dest in self.pending:
-            return
-        self.seq += 1
-        state = DiscoveryState(destination=dest)
-        self.pending[dest] = state
-        self._emit_ring(state)
+    def request_route(self, dest: int) -> PendingRequest:
+        """Start a discovery for dest unless one is already pending; return
+        the pending record."""
+        state = self.pending.get(dest)
+        if state is None:
+            self.seq += 1
+            state = self.pending[dest] = PendingRequest(dest)
+            self._emit_ring(state)
+        return state
 
-    def _emit_ring(self, state: DiscoveryState) -> None:
+    def _emit_ring(self, state: PendingRequest) -> None:
         ttl = self.rings[state.ring_index]
-        self._send_rreq(state.destination, ttl)
+        state.req_id = self._send_rreq(state.destination, ttl)
         wait = self.ring_wait(self.params, state.ring_index, ttl)
-        state.generation += 1
         self.engine.schedule_in(wait, self._discovery_timeout,
-                                state.destination, state.generation)
+                                state.destination, state.req_id)
 
-    def _send_rreq(self, dest: int, ttl: int) -> None:
+    def _send_rreq(self, dest: int, ttl: int) -> int:
+        """Flood a request for dest to ttl hops; return its request id."""
         now = self.engine.now
         req_id = len(self.rreq_opened)
         self.rreq_opened.append(now)
@@ -249,10 +240,11 @@ class Node:
                         ring_ttl=ttl, orig_seq=self.seq, route=self._rreq_route)
         self.engine.send(self.nid, Packet("RREQ", CONTROL_SIZE, self.nid, dest,
                                           ttl, now, info))
+        return req_id
 
-    def _discovery_timeout(self, dest: int, generation: int) -> None:
+    def _discovery_timeout(self, dest: int, req_id: int) -> None:
         state = self.pending.get(dest)
-        if state is None or state.generation != generation:
+        if state is None or state.req_id != req_id:
             return
         state.ring_index += 1
         if state.ring_index >= len(self.rings):
@@ -265,13 +257,11 @@ class Node:
         if state is None:
             return
         self.engine.discovery_finished(success)
-        if success:
-            self._drain_queue(dest)
-        else:
-            queue = self.queues.pop(dest, None)
-            if queue:
-                for pkt in queue:
-                    self.engine.drop_data(pkt, "discovery_failed")
+        for pkt in state.queue:
+            if success:
+                self._dispatch_data(pkt)
+            else:
+                self.engine.drop_data(pkt, "discovery_failed")
 
     def _handle_rreq(self, pkt: Packet, frm: int) -> None:
         if pkt.ttl < 0:
@@ -383,12 +373,8 @@ class SourceRouteNode(Node):
         info = pkt.info
         if info.broken_link is not None:
             self.cache.purge_link(*info.broken_link)
-        if self.nid == pkt.dst:
-            for dest in info.unreachable:
-                if self.queues.get(dest):
-                    self.request_route(dest)
-            return
-        self._forward_on_return_route(pkt)
+        if self.nid != pkt.dst:
+            self._forward_on_return_route(pkt)
 
     def _forward_on_return_route(self, pkt: Packet) -> None:
         info = pkt.info
@@ -635,7 +621,7 @@ class AodvNode(HopByHopNode):
 
     def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
         super().__init__(nid, variant, params, engine)
-        self.repairs: dict[int, RepairState] = {}
+        self.repairs: dict[int, PendingRequest] = {}
 
     def _reply_en_route(self, info: RreqInfo, path: tuple) -> bool:
         entry = self._valid_route(info.target)
@@ -656,25 +642,24 @@ class AodvNode(HopByHopNode):
         known hop count to dest."""
         state = self.repairs.get(dest)
         if state is None:
-            state = RepairState(generation=len(self.rreq_opened))
-            self.repairs[dest] = state
+            state = self.repairs[dest] = PendingRequest(dest)
             ttl = max(1, self._last_hops.get(dest, 1)) + self.params.local_add_ttl
             self.seq += 1
-            self._send_rreq(dest, ttl)
+            state.req_id = self._send_rreq(dest, ttl)
             self.engine.schedule_in(self.ring_wait(self.params, 0, ttl),
-                                    self._repair_timeout, dest, state.generation)
+                                    self._repair_timeout, dest, state.req_id)
         if pkt is not None:
-            state.buffer.append(pkt)
+            state.queue.append(pkt)
 
-    def _repair_timeout(self, dest: int, generation: int) -> None:
+    def _repair_timeout(self, dest: int, req_id: int) -> None:
         state = self.repairs.get(dest)
-        if state is None or state.generation != generation:
+        if state is None or state.req_id != req_id:
             return
         if self._valid_route(dest) is not None:
             self._route_confirmed(dest)
             return
         del self.repairs[dest]
-        for pkt in state.buffer:
+        for pkt in state.queue:
             self.engine.drop_data(pkt, "repair_failed")
         self._broadcast_rerr((dest,))
 
@@ -682,12 +667,12 @@ class AodvNode(HopByHopNode):
         state = self.repairs.pop(dest, None)
         if state is None:
             return
-        for pkt in state.buffer:
+        for pkt in state.queue:
             self._dispatch_data(pkt)
 
     def pending_data_packets(self) -> list[Packet]:
         return super().pending_data_packets() + [
-            pkt for repair in self.repairs.values() for pkt in repair.buffer]
+            pkt for state in self.repairs.values() for pkt in state.queue]
 
 
 NODE_CLASSES: dict[Protocol, type[Node]] = {

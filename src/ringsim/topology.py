@@ -13,7 +13,6 @@ import numpy as np
 from .analytics import (
     ConnectivityProfile,
     LocationDistribution,
-    RingPopulation,
     TtlSchedule,
     avg_degree,
 )
@@ -107,14 +106,14 @@ def hop_distances(graph: Graph, source: int) -> list[int]:
     return dist
 
 
-def bfs_rings(graph: Graph, source: int) -> RingPopulation:
-    """Count nodes at each exact hop distance from the source."""
+def bfs_rings(graph: Graph, source: int) -> tuple[int, ...]:
+    """Count nodes at each exact hop distance: entry i holds distance i+1."""
     dist = hop_distances(graph, source)
     reach = [d for d in dist if d > 0]
     counts = [0] * (max(reach) if reach else 0)
     for d in reach:
         counts[d - 1] += 1
-    return RingPopulation(counts=tuple(counts))
+    return tuple(counts)
 
 
 def connectivity_profile(graph: Graph, source: int, p_s: float,

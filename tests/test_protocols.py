@@ -148,7 +148,7 @@ def test_pending_discovery_coalesces():
     engine.now = 0.1
     node.send_data(data_packet(0, 7, uid=1))
     assert engine.sent_kinds().count("RREQ") == 1
-    assert len(node.queues[7]) == 2
+    assert len(node.pending[7].queue) == 2
 
 
 def test_timeout_walks_schedule():
@@ -187,14 +187,11 @@ def test_stale_timeout_generation_ignored():
     node, engine = make_node(Protocol.AODV, Variant.ERS1)
     node.request_route(7)
     _, fn, args = engine.timers[0]
-    fn(*args)   # ring 2 emitted, generation bumped
+    fn(*args)   # ring 2 emitted under a new request id
     fn(*args)   # stale replay of the first timer must do nothing
     assert len([k for k in engine.sent_kinds() if k == "RREQ"]) == 2
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: every DiscoveryState starts at generation 1, so a reply "
-    "timer left over from a finished discovery matches the next one"))
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_stale_reply_timer_leaves_next_discovery_alone(protocol):
     node, engine = make_node(protocol, Variant.ERS1)
@@ -205,6 +202,21 @@ def test_stale_reply_timer_leaves_next_discovery_alone(protocol):
     stale_fn(*stale_args)   # the first discovery's timer fires late
     assert node.pending[7].ring_index == 0
     assert engine.sent_kinds().count("RREQ") == 2
+
+
+def test_stale_repair_timer_leaves_next_repair_alone():
+    node, engine, _ = _break_forwarded_link(Protocol.AODV, Variant.ERS1, 2)
+    _, stale_fn, stale_args = engine.timers[0]
+    node._install_route(9, next_hop=6, hops=2, seq=2, seq_valid=True)
+    node._route_confirmed(9)
+    assert 9 not in node.repairs
+    del node.routes[9]
+    pkt = data_packet(0, 9, uid=1)
+    node.on_packet(pkt, frm=0)    # no route again: a second repair for 9
+    stale_fn(*stale_args)         # the first repair's timer fires late
+    assert node.repairs[9].queue == deque([pkt])
+    assert engine.data_drops == []
+    assert engine.sent_kinds().count("RERR") == 0
 
 
 # -------------------------------------------------------------------- RREQ
@@ -303,6 +315,29 @@ def test_local_repair_rejected_off_protocol():
         assert "RREQ" not in engine.sent_kinds()
         assert [r for _, r in engine.data_drops] == ["link_break"]
         assert not hasattr(node, "repairs")
+
+
+def test_discovery_and_repair_for_one_destination_stay_apart():
+    """An AODV node can be the source of a discovery for 9 and the repairer
+    of a route to 9 at once; each record keeps its own packets and timer."""
+    node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=3)
+    own = data_packet(3, 9, uid=0)
+    node.send_data(own)
+    _, discovery_fn, discovery_args = engine.timers[0]
+    forwarded = data_packet(0, 9, uid=1)
+    node.on_packet(forwarded, frm=0)
+    _, repair_fn, repair_args = engine.timers[1]
+    assert sorted(p.info.uid for p in node.pending_data_packets()) == [0, 1]
+
+    repair_fn(*repair_args)
+    assert engine.data_drops == [(forwarded, "repair_failed")]
+    assert engine.sent_kinds() == ["RREQ", "RREQ", "RERR"]
+    assert node.pending[9].queue == deque([own])
+
+    discovery_fn(*discovery_args)
+    assert engine.sent_kinds()[-1] == "RREQ"
+    assert engine.sent[-1][1].ttl == 4
+    assert node.pending_data_packets() == [own]
 
 
 def test_repair_timeout_reports_upstream():

@@ -70,11 +70,11 @@ def test_bfs_rings_star():
         angle = 2 * math.pi * k / 5
         positions.append((9.9 * math.cos(angle), 9.9 * math.sin(angle)))
     graph = graph_from_positions(positions, 10.0)
-    assert bfs_rings(graph, 0).counts == (5,)
+    assert bfs_rings(graph, 0) == (5,)
 
 
 def test_bfs_rings_path():
-    assert bfs_rings(_path_graph(), 0).counts == (1, 1, 1)
+    assert bfs_rings(_path_graph(), 0) == (1, 1, 1)
 
 
 def test_bfs_rings_matches_relaxation_oracle():
@@ -87,7 +87,7 @@ def test_bfs_rings_matches_relaxation_oracle():
             for v in graph.neighbors[u]:
                 if dist[u] + 1 < dist[v]:
                     dist[v] = dist[u] + 1
-    counts = bfs_rings(graph, 0).counts
+    counts = bfs_rings(graph, 0)
     depth = max((d for d in dist if d < math.inf), default=0)
     expected = tuple(sum(1 for d in dist if d == i) for i in range(1, depth + 1))
     assert counts == expected
@@ -101,7 +101,7 @@ def test_bfs_rings_invalid_source():
 def test_ring_total_bounded_by_population():
     for seed in range(12):
         graph = generate_topology(seed, 25, Arena(700.0, 700.0, 160.0))
-        counts = bfs_rings(graph, 0).counts
+        counts = bfs_rings(graph, 0)
         reachable = sum(counts) + 1
         assert reachable <= graph.n
         connected = all(d >= 0 for d in hop_distances(graph, 0))
