@@ -43,9 +43,16 @@ class ScenarioConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        problems = [f"{name} must be non-empty"
-                    for name in ("pause_times", "protocols", "variants", "seeds")
-                    if not getattr(self, name)]
+        problems = []
+        for name in ("pause_times", "protocols", "variants", "seeds"):
+            entries = getattr(self, name)
+            if not entries:
+                problems.append(f"{name} must be non-empty")
+            # a repeated entry would run the same cells again and count
+            # them as extra seeds in the summary
+            problems += [f"{name} repeats {getattr(entry, 'value', entry)}"
+                         for i, entry in enumerate(entries)
+                         if entry in entries[:i]]
         if problems:
             raise ConfigError("invalid scenario: " + "; ".join(problems))
         # every other value is checked as the cells will be built from it

@@ -173,14 +173,14 @@ class Engine:
             for node in self.nodes:
                 offset = self._rng_proto.uniform(0, HELLO_INTERVAL)
                 self.schedule_in(offset, self._hello_tick, node.nid)
-        for flow in range(cfg.traffic_pairs):
+        for _ in range(cfg.traffic_pairs):
             src = self._rng_traffic.randrange(cfg.n_nodes)
             dst = self._rng_traffic.randrange(cfg.n_nodes - 1)
             if dst >= src:
                 dst += 1
             interval = 1.0 / cfg.traffic_rate
             offset = self._rng_traffic.uniform(0, interval)
-            self.schedule_in(offset, self._traffic_tick, flow, src, dst, interval)
+            self.schedule_in(offset, self._traffic_tick, src, dst, interval)
 
         # a callback that schedules at the current time appends to the bucket
         # being iterated, so it runs later in this same pass
@@ -222,15 +222,14 @@ class Engine:
         self.nodes[nid].on_hello_tick()
         self.schedule_in(HELLO_INTERVAL, self._hello_tick, nid)
 
-    def _traffic_tick(self, flow: int, src: int, dst: int, interval: float) -> None:
+    def _traffic_tick(self, src: int, dst: int, interval: float) -> None:
         pkt = Packet("DATA", self.config.packet_size, src, dst,
-                     DATA_HOP_LIMIT, self.now,
-                     DataInfo(uid=self._uid, flow=flow))
+                     DATA_HOP_LIMIT, self.now, DataInfo(uid=self._uid))
         self._uid += 1
         if pkt.created_at >= self.config.warmup:
             self.metrics.data_sent += 1
         self.nodes[src].send_data(pkt)
-        self.schedule_in(interval, self._traffic_tick, flow, src, dst, interval)
+        self.schedule_in(interval, self._traffic_tick, src, dst, interval)
 
     # ---------------------------------------------------------- transmissions
 

@@ -57,13 +57,12 @@ CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def analytic_schedule_cost(protocol: Protocol, variant: Variant, seed: int,
-                           n_nodes: int, arena: Arena, p_s: float,
-                           source: int = 0) -> float:
-    """Closed-form expected broadcast count of one full schedule on the frozen
-    topology the given seed generates."""
+                           n_nodes: int, arena: Arena, p_s: float) -> float:
+    """Closed-form expected broadcast count of one full schedule from node 0
+    on the frozen topology the given seed generates."""
     graph = generate_topology(seed, n_nodes, arena)
     schedule = build_schedule(protocol, variant)
-    profile = connectivity_profile(graph, source, p_s,
+    profile = connectivity_profile(graph, 0, p_s,
                                    horizon=max(schedule.rings) - 1)
     return total_search_cost(schedule, profile)
 
@@ -270,9 +269,6 @@ def emit_report(rows: list[ResultRow], out_dir: str) -> tuple[str, str]:
 class ProbeResult:
     """One exhaustive discovery against an absent destination."""
 
-    protocol: Protocol
-    variant: Variant
-    seed: int
     ring_ttls: tuple[int, ...]
     census_counts: tuple[int, ...]   # exact ring transmissions from hop counts
     sim_counts: tuple[int, ...]      # route-request sends observed per ring
@@ -282,8 +278,8 @@ class ProbeResult:
 
 def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
                     n_nodes: int = 50, arena: Arena = Arena(1000.0, 1000.0, 250.0),
-                    p_s: float = 1.0, source: int = 0) -> ProbeResult:
-    """Run one discovery for a destination that does not exist.
+                    p_s: float = 1.0) -> ProbeResult:
+    """Run one discovery from node 0 for a destination that does not exist.
 
     Every ring then times out, so each ring floods to its full TTL extent and
     the per-ring transmission counts can be compared with the hop-census
@@ -299,7 +295,7 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
                     duration=sum(waits) + 1.0, warmup=0.0, traffic_pairs=0,
                     p_s=p_s, seed=seed)
     engine = Engine(cfg)
-    ghost = n_nodes  # a node id nobody owns
+    source, ghost = 0, n_nodes  # ghost: a node id nobody owns
     engine.schedule_in(0.0, engine.nodes[source].request_route, ghost)
     metrics = engine.run()
 
@@ -313,14 +309,14 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
     # per-request counts in ring order, and its request ids are ring indices
     sim = tuple(count for (orig, _), count in metrics.rreq_tx.items()
                 if orig == source)
-    return ProbeResult(protocol=protocol, variant=variant, seed=seed,
-                       ring_ttls=rings, census_counts=tuple(census),
+    return ProbeResult(ring_ttls=rings, census_counts=tuple(census),
                        sim_counts=sim, waits=waits,
                        emit_times=tuple(engine.nodes[source].rreq_opened))
 
 
 def analytic_compare(scenario: ScenarioConfig) -> tuple[list[dict], str]:
-    """Static-mode table of closed-form versus simulated discovery behavior."""
+    """Static-mode table of hop-census versus simulated per-ring discovery
+    cost, with the armed waits and the observed ring intervals."""
     if scenario.v_max != 0:
         raise ConfigError("analytic comparison requires v_max = 0 (static mode)")
     rows = []
@@ -330,15 +326,12 @@ def analytic_compare(scenario: ScenarioConfig) -> tuple[list[dict], str]:
                 probe = probe_discovery(protocol, variant, seed,
                                         n_nodes=scenario.nodes,
                                         arena=scenario.arena, p_s=scenario.p_s)
-                b_m = analytic_schedule_cost(protocol, variant, seed,
-                                             scenario.nodes, scenario.arena,
-                                             scenario.p_s)
                 intervals = [b - a for a, b in
                              zip(probe.emit_times, probe.emit_times[1:])]
                 for i, ttl in enumerate(probe.ring_ttls):
                     census = probe.census_counts[i]
-                    sim = probe.sim_counts[i] if i < len(probe.sim_counts) else 0
-                    err = abs(sim - census) / census if census else 0.0
+                    sim = probe.sim_counts[i]
+                    err = abs(sim - census) / census
                     rows.append({
                         "protocol": protocol.value,
                         "variant": variant.value,
@@ -350,7 +343,6 @@ def analytic_compare(scenario: ScenarioConfig) -> tuple[list[dict], str]:
                         "tx_rel_err": err,
                         "wait_s": probe.waits[i],
                         "sim_interval_s": intervals[i] if i < len(intervals) else None,
-                        "analytic_b_m": b_m,
                     })
     header = (f"{'proto':<6}{'var':<6}{'seed':>5}{'ring':>5}{'ttl':>5}"
               f"{'census':>8}{'sim':>6}{'err%':>7}{'wait_s':>9}{'interval_s':>11}")

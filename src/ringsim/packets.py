@@ -33,7 +33,6 @@ class RrepInfo:
     route: tuple[int, ...] = ()         # full source route orig..target
     return_route: tuple[int, ...] = ()  # explicit path the reply follows
     pos: int = 0
-    gratuitous: bool = False
 
 
 @dataclass(slots=True)
@@ -47,7 +46,6 @@ class RerrInfo:
 @dataclass(slots=True)
 class DataInfo:
     uid: int
-    flow: int
     route: tuple[int, ...] = ()     # current source route (source-routing only)
     pos: int = 0                    # index of the current holder in route
     traveled: tuple[int, ...] = ()  # hops actually visited, for error back-paths

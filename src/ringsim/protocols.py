@@ -194,10 +194,10 @@ class Node:
             return
         self._dispatch_data(pkt)
 
-    def _enqueue_data(self, dest: int, pkt: Packet) -> None:
+    def _enqueue_data(self, pkt: Packet) -> None:
         # callers only enqueue when no usable route exists, so a discovery is
         # always the drain path
-        queue = self.request_route(dest).queue
+        queue = self.request_route(pkt.dst).queue
         if len(queue) >= QUEUE_LIMIT:
             self.engine.drop_data(queue.popleft(), "queue_overflow")
         queue.append(pkt)
@@ -318,7 +318,7 @@ class SourceRouteNode(Node):
         if not info.route or info.route[info.pos] != self.nid:
             route = self.cache.lookup(self.nid, pkt.dst)
             if route is None:
-                self._enqueue_data(pkt.dst, pkt)
+                self._enqueue_data(pkt)
                 return
             info.route = route
             info.pos = 0
@@ -350,13 +350,10 @@ class SourceRouteNode(Node):
         return True
 
     def _send_rrep_source_routed(self, full_route: tuple[int, ...],
-                                 return_route: tuple[int, ...],
-                                 gratuitous: bool = False) -> None:
-        if len(return_route) < 2:
-            return
+                                 return_route: tuple[int, ...]) -> None:
         info = RrepInfo(target=full_route[-1], orig=full_route[0],
                         hops_from_target=0, target_seq=0, route=full_route,
-                        return_route=return_route, pos=1, gratuitous=gratuitous)
+                        return_route=return_route, pos=1)
         pkt = Packet("RREP", CONTROL_SIZE, full_route[-1], full_route[0], 0,
                      self.engine.now, info)
         self.engine.send(self.nid, pkt, next_hop=return_route[1])
@@ -377,17 +374,15 @@ class SourceRouteNode(Node):
             self._forward_on_return_route(pkt)
 
     def _forward_on_return_route(self, pkt: Packet) -> None:
+        # a return route ends at pkt.dst, so a holder that is not the
+        # destination always has a next hop
         info = pkt.info
-        nxt_index = info.pos + 1
-        if nxt_index < len(info.return_route):
-            info.pos = nxt_index
-            self.engine.send(self.nid, pkt, next_hop=info.return_route[nxt_index])
+        info.pos += 1
+        self.engine.send(self.nid, pkt, next_hop=info.return_route[info.pos])
 
     def _send_rerr_source_routed(self, data_pkt: Packet,
                                  broken: tuple[int, int]) -> None:
         back = tuple(reversed(data_pkt.info.traveled))
-        if len(back) < 2:
-            return
         info = RerrInfo(unreachable=(data_pkt.dst,), broken_link=broken,
                         return_route=back, pos=1)
         self.engine.send(self.nid, Packet("RERR", CONTROL_SIZE, self.nid,
@@ -423,23 +418,20 @@ class SourceRouteNode(Node):
         self._send_rerr_source_routed(pkt, (self.nid, broken_next))
 
     def _overhear(self, pkt: Packet) -> None:
-        """Cache overheard routes and shorten paths when possible."""
+        """Cache overheard routes and shorten paths when possible.
+
+        The engine hands over only DATA and RREP packets, and a DATA packet
+        in flight has ``1 <= pos <= len(route) - 1``.
+        """
         info = pkt.info
+        route = info.route
         # most overheard routes are cached already: skip those inserts with
         # a dict lookup, not a method call
-        if pkt.kind == "RREP":
-            if info.route not in self.cache:
-                self.cache.insert(info.route)
-            return
-        if pkt.kind != "DATA":
-            return
-        route = info.route
-        if len(route) >= 2 and route not in self.cache:
+        if route not in self.cache:
             self.cache.insert(route)
-        sender_index = info.pos - 1
-        if sender_index < 0 or sender_index >= len(route) \
-                or self.nid not in route:
+        if pkt.kind == "RREP" or self.nid not in route:
             return
+        sender_index = info.pos - 1
         own_index = route.index(self.nid)
         if own_index > sender_index + 1:
             key = (pkt.src, pkt.dst)
@@ -449,7 +441,7 @@ class SourceRouteNode(Node):
             self._grat_sent[key] = now
             short = route[:sender_index + 1] + route[own_index:]
             back = (self.nid,) + tuple(reversed(route[:sender_index + 1]))
-            self._send_rrep_source_routed(short, back, gratuitous=True)
+            self._send_rrep_source_routed(short, back)
 
 
 class HopByHopNode(Node):
@@ -482,7 +474,7 @@ class HopByHopNode(Node):
             entry.last_data_use = now
             self.engine.send(self.nid, pkt, next_hop=entry.next_hop)
         elif self.nid == pkt.src:
-            self._enqueue_data(dest, pkt)
+            self._enqueue_data(pkt)
         else:
             self._route_lost(pkt, "no_route", [])
 
@@ -555,7 +547,7 @@ class HopByHopNode(Node):
         active = self._drop_routes_via(next_hop)
         if pkt.kind == "DATA":
             if self.nid == pkt.src:
-                self._enqueue_data(pkt.dst, pkt)
+                self._enqueue_data(pkt)
             else:
                 self._route_lost(pkt, "link_break", active)
 

@@ -138,9 +138,6 @@ def connectivity_profile(graph: Graph, source: int, p_s: float,
     for j in range(1, ecc + 1):
         prev = rings[j - 1]
         nxt = set(rings[j])
-        if not prev:
-            d_f.append(0.0)
-            continue
         edges = sum(1 for u in prev for v in graph.neighbors[u] if v in nxt)
         d_f.append(edges / len(prev))
     if horizon is not None:

@@ -1,8 +1,8 @@
 """Acceptance suite: one test (and one printed verdict line) per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The directional criterion
-is the slow one (about 4-5 minutes on two cores); everything else finishes in
-seconds.
+is the slow one (about 107 s on a shared two-core host); everything else
+finishes in seconds.
 """
 
 import random

@@ -345,7 +345,7 @@ def test_stale_cache_purged_after_mid_run_break():
     def send_one():
         from ringsim.packets import DataInfo, Packet
         pkt = Packet("DATA", 512, 0, dst, 64, engine.now,
-                     DataInfo(uid=uid[0], flow=0))
+                     DataInfo(uid=uid[0]))
         uid[0] += 1
         engine.metrics.data_sent += 1
         src.send_data(pkt)

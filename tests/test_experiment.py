@@ -99,6 +99,11 @@ def test_config_single_pause_cell():
      "cannot parse 'soon' as float for pause_times"),
     ("variants = [ers3]\n", "variants entries must be one of ers1, ers2"),
     ("seeds = []\n", "empty list"),
+    # a repeated entry would run the same cells twice
+    ("seeds = [1, 1]\n", "seeds repeats 1"),
+    ("pause_times = [0, 0.0]\n", "pause_times repeats 0.0"),
+    ("protocols = [aodv, AODV]\n", "protocols repeats aodv"),
+    ("variants = [ers2, ers1, ERS2]\n", "variants repeats ers2"),
 ])
 def test_config_rejects_bad_input(text, fragment):
     with pytest.raises(ConfigError, match=fragment):

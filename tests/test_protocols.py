@@ -70,7 +70,7 @@ def make_node(protocol, variant, nid=0):
 
 
 def data_packet(src, dst, uid=0):
-    return Packet("DATA", 512, src, dst, 64, 0.0, DataInfo(uid=uid, flow=0))
+    return Packet("DATA", 512, src, dst, 64, 0.0, DataInfo(uid=uid))
 
 
 def rreq_packet(orig, target, req_id, ttl, hop_count=0, route=(), orig_seq=1,
@@ -555,7 +555,7 @@ def test_engine_arms_hellos_from_class_flag(monkeypatch):
 # ---------------------------------------------------- salvage and gratuitous
 
 def _dsr_data(route, pos, src=0, dst=3, salvage=0):
-    info = DataInfo(uid=1, flow=0, route=route, pos=pos,
+    info = DataInfo(uid=1, route=route, pos=pos,
                     traveled=route[:pos + 1], salvage_count=salvage)
     return Packet("DATA", 512, src, dst, 64, 0.0, info)
 
@@ -602,7 +602,6 @@ def test_gratuitous_reply_shortens_route():
     node.on_overhear(pkt)
     _, rrep, next_hop = engine.sent[0]
     assert rrep.kind == "RREP"
-    assert rrep.info.gratuitous
     assert rrep.info.route == (0, 3, 4)
     assert rrep.info.return_route == (3, 0)
     assert next_hop == 0
@@ -638,6 +637,43 @@ def test_engine_overhears_from_class_flag(monkeypatch):
     heard, metrics = _counted_run(monkeypatch, "on_overhear", Protocol.DSR)
     assert heard == 0
     assert metrics.data_delivered > 0
+
+
+@pytest.mark.parametrize("radio_range", [250.0, 180.0])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_source_routed_sends_keep_their_route_contract(monkeypatch, variant,
+                                                       radio_range):
+    """Every DSR unicast names the hop its route holds at `pos`, and the
+    route still has a hop ahead; overhearing sees only DATA and RREP."""
+    seen = {"DATA": 0, "RREP": 0, "RERR": 0}
+    overheard = set()
+    send, overhear = Engine.send, Node.on_overhear
+
+    def checked_send(self, sender, pkt, next_hop=None):
+        info = pkt.info
+        if pkt.kind == "DATA":
+            assert 1 <= info.pos <= len(info.route) - 1
+            assert info.route[info.pos] == next_hop
+            seen["DATA"] += 1
+        elif pkt.kind in ("RREP", "RERR"):
+            route = info.return_route
+            assert len(route) >= 2 and route[-1] == pkt.dst
+            assert route[info.pos] == next_hop
+            seen[pkt.kind] += 1
+        return send(self, sender, pkt, next_hop)
+
+    def checked_overhear(self, pkt):
+        overheard.add(pkt.kind)
+        return overhear(self, pkt)
+
+    monkeypatch.setattr(Engine, "send", checked_send)
+    monkeypatch.setattr(Node, "on_overhear", checked_overhear)
+    cfg = RunConfig(protocol=Protocol.DSR, variant=variant, n_nodes=50,
+                    arena=Arena(1000.0, 1000.0, radio_range), v_max=30.0,
+                    duration=60.0, traffic_pairs=10, seed=1)
+    Engine(cfg).run()
+    assert overheard == {"DATA", "RREP"}
+    assert min(seen.values()) > 0
 
 
 def test_cache_update_surface():
