@@ -10,6 +10,7 @@ coin.  Identical (config, seed) pairs produce bit-identical metrics.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -49,7 +50,11 @@ class RunConfig:
     trace: bool = False
 
     def __post_init__(self):
-        problems = []
+        # an infinite duration never ends and a NaN passes every comparison;
+        # p_s is held to [0, 1] below
+        problems = [f"{name} must be finite" for name in
+                    ("v_max", "pause_time", "duration", "warmup", "traffic_rate")
+                    if not math.isfinite(getattr(self, name))]
         if self.n_nodes < 1:
             problems.append("n_nodes must be >= 1")
         if self.duration <= self.warmup:
@@ -238,7 +243,7 @@ class Engine:
             self.metrics.control_tx[pkt.kind] = \
                 self.metrics.control_tx.get(pkt.kind, 0) + 1
             if pkt.kind == "RREQ":
-                key = (pkt.info.orig, pkt.info.req_id)
+                key = (pkt.src, pkt.info.req_id)
                 self.metrics.rreq_tx[key] = self.metrics.rreq_tx.get(key, 0) + 1
         if self.trace is not None:
             self._trace("send", sender, pkt, self._send_tag(pkt))
@@ -248,8 +253,8 @@ class Engine:
                 self.schedule_in(delay, self._deliver, nb, pkt, sender)
             return
         if next_hop in self.neighbor_lists[sender]:
-            if self.node_class.promiscuous and pkt.kind in ("DATA", "RREP"):
-                # promiscuous listeners must run before the next hop forwards
+            if pkt.kind in self.node_class.overhears:
+                # overhearing neighbors must run before the next hop forwards
                 for nb in self.neighbor_lists[sender]:
                     if nb != next_hop:
                         self.schedule_in(delay, self.nodes[nb].on_overhear, pkt)
@@ -267,7 +272,7 @@ class Engine:
     def _send_tag(pkt: Packet) -> str:
         if pkt.kind == "RREQ":
             info = pkt.info
-            return f"q{info.orig}.{info.req_id}r{info.ring_ttl}"
+            return f"q{pkt.src}.{info.req_id}r{info.ring_ttl}"
         return "-"
 
     def _deliver(self, node_id: int, pkt: Packet, frm: int) -> None:

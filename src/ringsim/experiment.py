@@ -137,11 +137,10 @@ def run_sweep(scenario: ScenarioConfig, parallel: int = 1,
     tasks = [(scenario, p, v, pause, seed, trace_dir)
              for p, v, pause, seed in sweep_cells(scenario)]
     if parallel > 1 and len(tasks) > 1:
-        with Pool(processes=parallel) as pool:
-            rows = pool.map(_cell_task, tasks)
-    else:
-        rows = [_cell_task(task) for task in tasks]
-    return sorted(rows, key=lambda r: r.key)
+        # a pool starts all its workers at once: no more than there are cells
+        with Pool(processes=min(parallel, len(tasks))) as pool:
+            return pool.map(_cell_task, tasks)
+    return [_cell_task(task) for task in tasks]
 
 
 # ----------------------------------------------------------------- reporting

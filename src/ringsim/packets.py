@@ -13,12 +13,11 @@ BROADCAST = -1
 
 @dataclass(slots=True)
 class RreqInfo:
-    """Route request state: who asks, which attempt, how far it may spread."""
+    """Route request state: which attempt, how far it may spread.  The
+    header names the originator (src) and target (dst); hops travelled are
+    ``ring_ttl - ttl``."""
 
-    orig: int
     req_id: int
-    target: int
-    hop_count: int
     ring_ttl: int
     orig_seq: int
     route: tuple[int, ...] = ()  # source-routing protocols accumulate the path
@@ -26,21 +25,19 @@ class RreqInfo:
 
 @dataclass(slots=True)
 class RrepInfo:
-    target: int            # destination the discovery was for
-    orig: int              # requesting node
+    # the header names the target (src) and the requester (dst)
     hops_from_target: int
     target_seq: int
-    route: tuple[int, ...] = ()         # full source route orig..target
-    return_route: tuple[int, ...] = ()  # explicit path the reply follows
-    pos: int = 0
+    route: tuple[int, ...] = ()  # source routing: full route requester..target
+    pos: int = 0                 # index in route of the node holding the reply
 
 
 @dataclass(slots=True)
 class RerrInfo:
     unreachable: tuple[int, ...]
     broken_link: tuple[int, int] | None = None
-    return_route: tuple[int, ...] = ()
-    pos: int = 0
+    route: tuple[int, ...] = ()  # source routing: hops the data travelled
+    pos: int = 0                 # index in route of the node holding the error
 
 
 @dataclass(slots=True)

@@ -9,11 +9,11 @@ routing families plug into its hooks: :class:`SourceRouteNode` (DSR: route
 cache, salvaging, overhearing), :class:`HopByHopNode` (DYMO: route table,
 route errors, hellos) and its subclass :class:`AodvNode` (intermediate
 replies, local repair).  Each class names its ``protocol`` and carries that
-family's ring policy (``discovery_rings``, ``ring_wait``) and the engine flags
-``promiscuous`` (deliver overheard unicasts to ``_overhear``) and
-``sends_hellos`` (arm ``_hello_tick``).  The engine-facing ``send_data`` and
-``on_*`` handlers live on :class:`Node` alone, so wrapping them there
-instruments every family.
+family's ring policy (``discovery_rings``, ``ring_wait``) and what the engine
+owes it: ``overhears`` (the unicast kinds whose overheard copies go to
+``_overhear``) and ``sends_hellos`` (arm ``_hello_tick``).  The engine-facing
+``send_data`` and ``on_*`` handlers live on :class:`Node` alone, so wrapping
+them there instruments every family.
 
 There is one clock: nodes read the current time from ``engine.now``; the
 engine passes none.
@@ -127,11 +127,12 @@ class Node:
     ``_reply_en_route`` (answer from intermediate state; True if it did),
     ``_handle_rrep``, ``_handle_rerr``, ``_link_failed`` and ``ring_wait``
     (reply timeout armed for one ring), plus ``_overhear`` or ``_hello_tick``
-    where the class sets ``promiscuous`` / ``sends_hellos``.
+    where the class sets ``overhears`` / ``sends_hellos``.  The request hooks
+    take the request packet, whose src asks for a route to its dst.
     """
 
     protocol: Protocol
-    promiscuous = False    # the engine delivers overheard unicasts to it
+    overhears: tuple[str, ...] = ()  # unicast kinds the neighbors overhear
     sends_hellos = False   # the engine arms a hello tick every HELLO_INTERVAL
     cache: RouteCache | None = None
     _rreq_route: tuple[int, ...] = ()   # path a fresh request starts with
@@ -236,8 +237,8 @@ class Node:
         req_id = len(self.rreq_opened)
         self.rreq_opened.append(now)
         self.seen_requests.add((self.nid, req_id))
-        info = RreqInfo(orig=self.nid, req_id=req_id, target=dest, hop_count=0,
-                        ring_ttl=ttl, orig_seq=self.seq, route=self._rreq_route)
+        info = RreqInfo(req_id=req_id, ring_ttl=ttl, orig_seq=self.seq,
+                        route=self._rreq_route)
         self.engine.send(self.nid, Packet("RREQ", CONTROL_SIZE, self.nid, dest,
                                           ttl, now, info))
         return req_id
@@ -268,25 +269,23 @@ class Node:
             self.engine.protocol_error(self.nid, pkt)
             return
         info = pkt.info
-        key = (info.orig, info.req_id)
+        key = (pkt.src, info.req_id)
         if key in self.seen_requests:
             self.engine.record_drop(self.nid, pkt, "duplicate")
             return
         self.seen_requests.add(key)
-        path = self._learn_reverse(info, frm)
-        if info.target == self.nid:
-            self._reply_as_target(info, path)
+        path = self._learn_reverse(pkt, frm)
+        if pkt.dst == self.nid:
+            self._reply_as_target(pkt, path)
             return
-        if self._reply_en_route(info, path):
+        if self._reply_en_route(pkt, path):
             return
         new_ttl = pkt.ttl - 1
         if new_ttl > 0 and self.engine.forward_coin():
-            fwd = RreqInfo(orig=info.orig, req_id=info.req_id,
-                           target=info.target, hop_count=info.hop_count + 1,
-                           ring_ttl=info.ring_ttl, orig_seq=info.orig_seq,
-                           route=path)
-            self.engine.send(self.nid, Packet("RREQ", CONTROL_SIZE, info.orig,
-                                              info.target, new_ttl,
+            fwd = RreqInfo(req_id=info.req_id, ring_ttl=info.ring_ttl,
+                           orig_seq=info.orig_seq, route=path)
+            self.engine.send(self.nid, Packet("RREQ", CONTROL_SIZE, pkt.src,
+                                              pkt.dst, new_ttl,
                                               pkt.created_at, fwd))
 
 
@@ -294,7 +293,7 @@ class SourceRouteNode(Node):
     """DSR model: source routes from a route cache, salvaging, overhearing."""
 
     protocol = Protocol.DSR
-    promiscuous = True
+    overhears = ("DATA", "RREP")
 
     def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
         super().__init__(nid, variant, params, engine)
@@ -330,65 +329,63 @@ class SourceRouteNode(Node):
         info.pos += 1
         self.engine.send(self.nid, pkt, next_hop=nxt)
 
-    def _learn_reverse(self, info: RreqInfo, frm: int) -> tuple[int, ...]:
-        path = info.route + (self.nid,)
+    def _learn_reverse(self, pkt: Packet, frm: int) -> tuple[int, ...]:
+        path = pkt.info.route + (self.nid,)
         # links are symmetric, so the reversed prefix is a usable route back
         self.cache.insert(tuple(reversed(path)))
         return path
 
-    def _reply_as_target(self, info: RreqInfo, path: tuple[int, ...]) -> None:
-        self._send_rrep_source_routed(path, tuple(reversed(path)))
+    def _reply_as_target(self, pkt: Packet, path: tuple[int, ...]) -> None:
+        self._send_rrep_source_routed(path, len(path) - 1)
 
-    def _reply_en_route(self, info: RreqInfo, path: tuple[int, ...]) -> bool:
-        sub = self.cache.lookup(self.nid, info.target)
+    def _reply_en_route(self, pkt: Packet, path: tuple[int, ...]) -> bool:
+        sub = self.cache.lookup(self.nid, pkt.dst)
         if sub is None:
             return False
         full = path + sub[1:]
         if len(set(full)) != len(full):
             return False
-        self._send_rrep_source_routed(full, tuple(reversed(path)))
+        self._send_rrep_source_routed(full, len(path) - 1)
         return True
 
     def _send_rrep_source_routed(self, full_route: tuple[int, ...],
-                                 return_route: tuple[int, ...]) -> None:
-        info = RrepInfo(target=full_route[-1], orig=full_route[0],
-                        hops_from_target=0, target_seq=0, route=full_route,
-                        return_route=return_route, pos=1)
-        pkt = Packet("RREP", CONTROL_SIZE, full_route[-1], full_route[0], 0,
-                     self.engine.now, info)
-        self.engine.send(self.nid, pkt, next_hop=return_route[1])
+                                 replier: int) -> None:
+        """Send full_route back from its node at index replier to its start."""
+        info = RrepInfo(hops_from_target=0, target_seq=0, route=full_route,
+                        pos=replier)
+        self._walk_back(Packet("RREP", CONTROL_SIZE, full_route[-1],
+                               full_route[0], 0, self.engine.now, info))
 
     def _handle_rrep(self, pkt: Packet, frm: int) -> None:
-        info = pkt.info
-        self.cache.insert(info.route)
-        if self.nid == info.orig:
-            self._finish_discovery(info.target, True)
+        self.cache.insert(pkt.info.route)
+        if self.nid == pkt.dst:
+            self._finish_discovery(pkt.src, True)
             return
-        self._forward_on_return_route(pkt)
+        self._walk_back(pkt)
 
     def _handle_rerr(self, pkt: Packet, frm: int) -> None:
         info = pkt.info
         if info.broken_link is not None:
             self.cache.purge_link(*info.broken_link)
         if self.nid != pkt.dst:
-            self._forward_on_return_route(pkt)
+            self._walk_back(pkt)
 
-    def _forward_on_return_route(self, pkt: Packet) -> None:
-        # a return route ends at pkt.dst, so a holder that is not the
-        # destination always has a next hop
+    def _walk_back(self, pkt: Packet) -> None:
+        # replies and errors walk their route back from the holder at pos to
+        # route[0] == pkt.dst, so a holder that is not the destination always
+        # has a previous hop
         info = pkt.info
-        info.pos += 1
-        self.engine.send(self.nid, pkt, next_hop=info.return_route[info.pos])
+        info.pos -= 1
+        self.engine.send(self.nid, pkt, next_hop=info.route[info.pos])
 
     def _send_rerr_source_routed(self, data_pkt: Packet,
                                  broken: tuple[int, int]) -> None:
-        back = tuple(reversed(data_pkt.info.traveled))
+        # the data travelled from its source to this node, the last hop
+        traveled = data_pkt.info.traveled
         info = RerrInfo(unreachable=(data_pkt.dst,), broken_link=broken,
-                        return_route=back, pos=1)
-        self.engine.send(self.nid, Packet("RERR", CONTROL_SIZE, self.nid,
-                                          data_pkt.src, 0, self.engine.now,
-                                          info),
-                         next_hop=back[1])
+                        route=traveled, pos=len(traveled) - 1)
+        self._walk_back(Packet("RERR", CONTROL_SIZE, self.nid, data_pkt.src,
+                               0, self.engine.now, info))
 
     def _link_failed(self, pkt: Packet, next_hop: int) -> None:
         self.cache.purge_link(self.nid, next_hop)
@@ -440,8 +437,7 @@ class SourceRouteNode(Node):
                 return
             self._grat_sent[key] = now
             short = route[:sender_index + 1] + route[own_index:]
-            back = (self.nid,) + tuple(reversed(route[:sender_index + 1]))
-            self._send_rrep_source_routed(short, back)
+            self._send_rrep_source_routed(short, sender_index + 1)
 
 
 class HopByHopNode(Node):
@@ -493,15 +489,17 @@ class HopByHopNode(Node):
     def _route_confirmed(self, dest: int) -> None:
         """A reply just installed a confirmed route to dest."""
 
-    def _learn_reverse(self, info: RreqInfo, frm: int) -> tuple:
-        self._install_route(info.orig, frm, info.hop_count + 1, info.orig_seq)
+    def _learn_reverse(self, pkt: Packet, frm: int) -> tuple:
+        # the request travelled ring_ttl - ttl hops to frm, and one more here
+        hops = pkt.info.ring_ttl - pkt.ttl + 1
+        self._install_route(pkt.src, frm, hops, pkt.info.orig_seq)
         return ()
 
-    def _reply_as_target(self, info: RreqInfo, path: tuple) -> None:
+    def _reply_as_target(self, pkt: Packet, path: tuple) -> None:
         self.seq += 1
-        self._send_rrep(info.orig, self.nid, 0, self.seq)
+        self._send_rrep(pkt.src, self.nid, 0, self.seq)
 
-    def _reply_en_route(self, info: RreqInfo, path: tuple) -> bool:
+    def _reply_en_route(self, pkt: Packet, path: tuple) -> bool:
         return False
 
     def _send_rrep(self, orig: int, target: int, hops_from_target: int,
@@ -511,22 +509,21 @@ class HopByHopNode(Node):
             return
         now = self.engine.now
         entry.valid_until = now + ROUTE_LIFETIME
-        info = RrepInfo(target=target, orig=orig,
-                        hops_from_target=hops_from_target,
+        info = RrepInfo(hops_from_target=hops_from_target,
                         target_seq=target_seq)
         pkt = Packet("RREP", CONTROL_SIZE, target, orig, 0, now, info)
         self.engine.send(self.nid, pkt, next_hop=entry.next_hop)
 
     def _handle_rrep(self, pkt: Packet, frm: int) -> None:
         info = pkt.info
+        target = pkt.src
         hops = info.hops_from_target + 1
-        self._install_route(info.target, frm, hops, info.target_seq,
-                            seq_valid=True)
-        self._route_confirmed(info.target)
-        if self.nid == info.orig:
-            self._finish_discovery(info.target, True)
+        self._install_route(target, frm, hops, info.target_seq, seq_valid=True)
+        self._route_confirmed(target)
+        if self.nid == pkt.dst:
+            self._finish_discovery(target, True)
             return
-        self._send_rrep(info.orig, info.target, hops, info.target_seq)
+        self._send_rrep(pkt.dst, target, hops, info.target_seq)
 
     def _handle_rerr(self, pkt: Packet, frm: int) -> None:
         affected = []
@@ -615,11 +612,11 @@ class AodvNode(HopByHopNode):
         super().__init__(nid, variant, params, engine)
         self.repairs: dict[int, PendingRequest] = {}
 
-    def _reply_en_route(self, info: RreqInfo, path: tuple) -> bool:
-        entry = self._valid_route(info.target)
+    def _reply_en_route(self, pkt: Packet, path: tuple) -> bool:
+        entry = self._valid_route(pkt.dst)
         if entry is None or not entry.seq_valid:
             return False
-        self._send_rrep(info.orig, info.target, entry.hop_count, entry.seq)
+        self._send_rrep(pkt.src, pkt.dst, entry.hop_count, entry.seq)
         return True
 
     def _route_lost(self, pkt: Packet, reason: str, active: list[int]) -> None:

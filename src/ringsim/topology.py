@@ -27,6 +27,9 @@ class Arena:
     radio_range: float
 
     def __post_init__(self):
+        for name in ("width", "height", "radio_range"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"arena {name} must be finite")
         if self.width <= 0 or self.height <= 0 or self.radio_range <= 0:
             raise ValueError("arena dimensions and radio range must be > 0")
 

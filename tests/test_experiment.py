@@ -104,6 +104,17 @@ def test_config_single_pause_cell():
     ("pause_times = [0, 0.0]\n", "pause_times repeats 0.0"),
     ("protocols = [aodv, AODV]\n", "protocols repeats aodv"),
     ("variants = [ers2, ers1, ERS2]\n", "variants repeats ers2"),
+    # an infinite duration never ends, and a NaN passes every comparison
+    ("duration = inf\n", "duration must be finite"),
+    ("duration = nan\n", "duration must be finite"),
+    ("warmup = nan\n", "warmup must be finite"),
+    ("v_max = nan\n", "v_max must be finite"),
+    ("traffic_rate = inf\n", "traffic_rate must be finite"),
+    ("traffic_rate = nan\n", "traffic_rate must be finite"),
+    ("pause_times = [0, nan]\n", "pause_time must be finite"),
+    ("arena_width = inf\n", "arena width must be finite"),
+    ("arena_height = nan\n", "arena height must be finite"),
+    ("radio_range = nan\n", "arena radio_range must be finite"),
 ])
 def test_config_rejects_bad_input(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -176,6 +187,30 @@ def test_sweep_parallel_matches_serial():
     serial = run_sweep(tiny_scenario())
     parallel = run_sweep(tiny_scenario(), parallel=2)
     assert rows_to_csv_text(serial) == rows_to_csv_text(parallel)
+
+
+def test_sweep_pool_never_outnumbers_cells(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        """Records the worker count asked for and maps in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(experiment, "Pool", InProcessPool)
+    rows = run_sweep(tiny_scenario(), parallel=5000)
+    assert started == [4]
+    assert rows_to_csv_text(rows) == rows_to_csv_text(run_sweep(tiny_scenario()))
 
 
 def test_sweep_isolates_cell_failure(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ringsim.analytics import Protocol, Variant, default_params
 from ringsim.engine import Engine, RunConfig
-from ringsim.packets import DataInfo, Packet, RreqInfo
+from ringsim.packets import DataInfo, Packet, RreqInfo, RrepInfo
 from ringsim.protocols import (
     NODE_CLASSES,
     ROUTE_LIFETIME,
@@ -73,10 +73,8 @@ def data_packet(src, dst, uid=0):
     return Packet("DATA", 512, src, dst, 64, 0.0, DataInfo(uid=uid))
 
 
-def rreq_packet(orig, target, req_id, ttl, hop_count=0, route=(), orig_seq=1,
-                ring_ttl=None):
-    info = RreqInfo(orig=orig, req_id=req_id, target=target,
-                    hop_count=hop_count,
+def rreq_packet(orig, target, req_id, ttl, route=(), orig_seq=1, ring_ttl=None):
+    info = RreqInfo(req_id=req_id,
                     ring_ttl=ring_ttl if ring_ttl is not None else ttl,
                     orig_seq=orig_seq, route=route)
     return Packet("RREQ", 64, orig, target, ttl, 0.0, info)
@@ -235,8 +233,9 @@ def test_rreq_ttl_gates_rebroadcast():
     node.on_packet(rreq_packet(0, 9, req_id=1, ttl=1), frm=0)
     assert engine.sent == []
     node.on_packet(rreq_packet(0, 9, req_id=2, ttl=2), frm=0)
-    assert engine.sent[0][1].ttl == 1
-    assert engine.sent[0][1].info.hop_count == 1
+    fwd = engine.sent[0][1]
+    assert fwd.ttl == 1
+    assert fwd.info.ring_ttl - fwd.ttl == 1    # one hop travelled
 
 
 def test_negative_ttl_is_protocol_error():
@@ -258,12 +257,13 @@ def test_destination_replies_with_rrep():
 
 def test_dsr_destination_reply_carries_route():
     node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=9)
-    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4, hop_count=1, route=(0, 4)),
+    # one hop travelled: sent at ttl 4, received at 3
+    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=3, ring_ttl=4, route=(0, 4)),
                    frm=4)
     _, rrep, next_hop = engine.sent[0]
     assert rrep.kind == "RREP"
     assert rrep.info.route == (0, 4, 9)
-    assert rrep.info.return_route == (9, 4, 0)
+    assert rrep.info.pos == 1
     assert next_hop == 4
 
 
@@ -586,6 +586,60 @@ def test_salvage_exhausted_drops_and_reports():
     assert next_hop == 0
 
 
+def _dsr_rrep(route, pos):
+    """A reply for route held by route[pos], on its way back to route[0]."""
+    info = RrepInfo(hops_from_target=0, target_seq=0, route=route, pos=pos)
+    return Packet("RREP", 64, route[-1], route[0], 0, 0.0, info)
+
+
+def test_dsr_reply_walks_back_through_a_middle_node():
+    node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=4)
+    rrep = _dsr_rrep((0, 4, 9), pos=1)
+    node.on_packet(rrep, frm=9)
+    assert (0, 4, 9) in node.cache
+    assert engine.sent == [(4, rrep, 0)]
+    assert rrep.info.pos == 0
+
+
+def test_dsr_reply_at_its_requester_releases_parked_data():
+    node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=0)
+    data = data_packet(0, 9)
+    node.send_data(data)
+    assert engine.sent_kinds() == ["RREQ"]
+    node.on_packet(_dsr_rrep((0, 4, 9), pos=0), frm=4)
+    assert engine.finished == [True]
+    assert 9 not in node.pending
+    assert engine.sent[1:] == [(0, data, 4)]
+    assert (data.info.route, data.info.pos) == ((0, 4, 9), 1)
+
+
+def test_dsr_error_walks_the_traveled_hops_back():
+    # node 1 salvaged the data onto (1, 5, 3); then 5 loses its link to 3
+    broken, engine5 = make_node(Protocol.DSR, Variant.ERS1, nid=5)
+    info = DataInfo(uid=1, route=(1, 5, 3), pos=1, traveled=(0, 1, 5),
+                    salvage_count=1)
+    broken.on_unicast_fail(Packet("DATA", 512, 0, 3, 64, 0.0, info),
+                           next_hop=3)
+    [(_, rerr, next_hop)] = engine5.sent
+    assert rerr.kind == "RERR" and (rerr.src, rerr.dst) == (5, 0)
+    assert rerr.info.route == (0, 1, 5) and rerr.info.pos == 1
+    assert next_hop == 1
+
+    middle, engine1 = make_node(Protocol.DSR, Variant.ERS1, nid=1)
+    middle.cache.insert((1, 5, 3))
+    middle.cache.insert((1, 2, 3))
+    middle.on_packet(rerr, frm=5)
+    assert list(middle.cache) == [(1, 2, 3)]
+    assert engine1.sent == [(1, rerr, 0)]
+    assert rerr.info.pos == 0
+
+    source, engine0 = make_node(Protocol.DSR, Variant.ERS1, nid=0)
+    source.cache.insert((0, 1, 5, 3))
+    source.on_packet(rerr, frm=1)
+    assert len(source.cache) == 0
+    assert engine0.sent == []
+
+
 def test_link_purge_on_failure():
     node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=1)
     node.cache.insert((0, 1, 2, 3))
@@ -603,7 +657,7 @@ def test_gratuitous_reply_shortens_route():
     _, rrep, next_hop = engine.sent[0]
     assert rrep.kind == "RREP"
     assert rrep.info.route == (0, 3, 4)
-    assert rrep.info.return_route == (3, 0)
+    assert rrep.info.pos == 0
     assert next_hop == 0
 
 
@@ -631,7 +685,7 @@ def test_overhear_ignored_off_protocol(monkeypatch):
 
 def test_engine_overhears_from_class_flag(monkeypatch):
     class DeafDsr(SourceRouteNode):
-        promiscuous = False
+        overhears = ()
 
     monkeypatch.setitem(NODE_CLASSES, Protocol.DSR, DeafDsr)
     heard, metrics = _counted_run(monkeypatch, "on_overhear", Protocol.DSR)
@@ -643,8 +697,10 @@ def test_engine_overhears_from_class_flag(monkeypatch):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_source_routed_sends_keep_their_route_contract(monkeypatch, variant,
                                                        radio_range):
-    """Every DSR unicast names the hop its route holds at `pos`, and the
-    route still has a hop ahead; overhearing sees only DATA and RREP."""
+    """Every DSR unicast goes between neighbors on its route: data from
+    route[pos - 1] to route[pos], replies and errors from route[pos + 1] to
+    route[pos] on their way back to route[0], their destination; overhearing
+    sees only DATA and RREP."""
     seen = {"DATA": 0, "RREP": 0, "RERR": 0}
     overheard = set()
     send, overhear = Engine.send, Node.on_overhear
@@ -653,12 +709,13 @@ def test_source_routed_sends_keep_their_route_contract(monkeypatch, variant,
         info = pkt.info
         if pkt.kind == "DATA":
             assert 1 <= info.pos <= len(info.route) - 1
-            assert info.route[info.pos] == next_hop
+            assert info.route[info.pos - 1:info.pos + 1] == (sender, next_hop)
             seen["DATA"] += 1
         elif pkt.kind in ("RREP", "RERR"):
-            route = info.return_route
-            assert len(route) >= 2 and route[-1] == pkt.dst
-            assert route[info.pos] == next_hop
+            # replies and errors walk their route back to route[0]
+            assert info.route[0] == pkt.dst
+            assert 0 <= info.pos < len(info.route) - 1
+            assert info.route[info.pos:info.pos + 2] == (next_hop, sender)
             seen[pkt.kind] += 1
         return send(self, sender, pkt, next_hop)
 
