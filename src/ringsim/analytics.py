@@ -77,8 +77,12 @@ class ErsParams:
             raise ValueError("tap_cache_size must be >= 1")
 
 
+@cache
 def default_params(protocol: Protocol, variant: Variant) -> ErsParams:
-    """Stock constants for each protocol under the default or enhanced tuning."""
+    """Stock constants for each protocol under the default or enhanced tuning.
+
+    Cached: every engine asks for its parameters, and ErsParams is frozen.
+    """
     enhanced = variant is Variant.ERS2
     if protocol is Protocol.DSR:
         return ErsParams(

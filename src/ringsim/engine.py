@@ -5,6 +5,12 @@ variant, one seed, one pause time.  Broadcasts reach every current unit-disk
 neighbor after serialization plus a per-hop processing latency; there is no
 MAC contention, so the only losses come from mobility and the rebroadcast
 coin.  Identical (config, seed) pairs produce bit-identical metrics.
+
+Nodes borrow their engine through a weak proxy, and ``run()`` drops the
+events still pending past ``duration``, so no reference cycle is left and a
+finished engine is freed as soon as its last reference goes.  Keep the
+engine referenced while you use its nodes: a node whose engine is gone
+raises ``ReferenceError``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .analytics import Protocol, Variant, default_params
@@ -145,7 +152,9 @@ class Engine:
         self.neighbor_lists = [list(row) for row in self.graph0.neighbors]
 
         self.node_class = NODE_CLASSES[config.protocol]
-        self.nodes = [self.node_class(i, config.variant, self.params, self)
+        # a proxy, not self: nodes and engine form no cycle
+        me = weakref.proxy(self)
+        self.nodes = [self.node_class(i, config.variant, self.params, me)
                       for i in range(config.n_nodes)]
         # DATA packets handed to the link and not yet delivered, by identity
         self._data_in_flight: dict[int, Packet] = {}
@@ -196,6 +205,10 @@ class Engine:
             for fn, args in buckets[now]:
                 fn(*args)
             del buckets[now]
+        # the callbacks past duration never run, and they hold bound methods
+        # of the engine and its nodes
+        times.clear()
+        buckets.clear()
         self.now = duration
         self._account_in_flight()
         return self.metrics

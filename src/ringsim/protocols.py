@@ -21,6 +21,7 @@ engine passes none.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -123,12 +124,14 @@ class Node:
 
     A family supplies these hooks: ``_dispatch_data`` (forward or queue a data
     packet), ``_learn_reverse`` (what a passing request teaches; returns the
-    accumulated source route, if the family keeps one), ``_reply_as_target``,
-    ``_reply_en_route`` (answer from intermediate state; True if it did),
-    ``_handle_rrep``, ``_handle_rerr``, ``_link_failed`` and ``ring_wait``
-    (reply timeout armed for one ring), plus ``_overhear`` or ``_hello_tick``
-    where the class sets ``overhears`` / ``sends_hellos``.  The request hooks
-    take the request packet, whose src asks for a route to its dst.
+    ``RreqInfo`` a forward carries: the received one when no route
+    accumulates, else one with this node appended to the route),
+    ``_reply_as_target`` and ``_reply_en_route`` (answer from intermediate
+    state; True if it did), both given that record's route, ``_handle_rrep``,
+    ``_handle_rerr``, ``_link_failed`` and ``ring_wait`` (reply timeout armed
+    for one ring), plus ``_overhear`` or ``_hello_tick`` where the class sets
+    ``overhears`` / ``sends_hellos``.  The request hooks take the request
+    packet, whose src asks for a route to its dst.
     """
 
     protocol: Protocol
@@ -209,9 +212,12 @@ class Node:
 
     # ------------------------------------------------------------- discovery
 
+    # functools.cache: the class attribute ``cache`` shadows a bare ``cache``
     @classmethod
+    @functools.cache
     def discovery_rings(cls, variant: Variant) -> tuple[int, ...]:
-        """Ring TTLs a discovery attempt actually walks."""
+        """Ring TTLs a discovery attempt actually walks; cached per class and
+        variant, since every node of an engine asks."""
         return build_schedule(cls.protocol, variant).rings
 
     def request_route(self, dest: int) -> PendingRequest:
@@ -268,22 +274,19 @@ class Node:
         if pkt.ttl < 0:
             self.engine.protocol_error(self.nid, pkt)
             return
-        info = pkt.info
-        key = (pkt.src, info.req_id)
+        key = (pkt.src, pkt.info.req_id)
         if key in self.seen_requests:
             self.engine.record_drop(self.nid, pkt, "duplicate")
             return
         self.seen_requests.add(key)
-        path = self._learn_reverse(pkt, frm)
+        fwd = self._learn_reverse(pkt, frm)
         if pkt.dst == self.nid:
-            self._reply_as_target(pkt, path)
+            self._reply_as_target(pkt, fwd.route)
             return
-        if self._reply_en_route(pkt, path):
+        if self._reply_en_route(pkt, fwd.route):
             return
         new_ttl = pkt.ttl - 1
         if new_ttl > 0 and self.engine.forward_coin():
-            fwd = RreqInfo(req_id=info.req_id, ring_ttl=info.ring_ttl,
-                           orig_seq=info.orig_seq, route=path)
             self.engine.send(self.nid, Packet("RREQ", CONTROL_SIZE, pkt.src,
                                               pkt.dst, new_ttl,
                                               pkt.created_at, fwd))
@@ -302,6 +305,7 @@ class SourceRouteNode(Node):
         self._grat_sent: dict[tuple[int, int], float] = {}
 
     @classmethod
+    @functools.cache
     def discovery_rings(cls, variant: Variant) -> tuple[int, ...]:
         """The two-ring schedule plus MAX_MAIN_REXMT network-wide retries."""
         rings = super().discovery_rings(variant)
@@ -329,11 +333,13 @@ class SourceRouteNode(Node):
         info.pos += 1
         self.engine.send(self.nid, pkt, next_hop=nxt)
 
-    def _learn_reverse(self, pkt: Packet, frm: int) -> tuple[int, ...]:
-        path = pkt.info.route + (self.nid,)
+    def _learn_reverse(self, pkt: Packet, frm: int) -> RreqInfo:
+        info = pkt.info
+        path = info.route + (self.nid,)
         # links are symmetric, so the reversed prefix is a usable route back
         self.cache.insert(tuple(reversed(path)))
-        return path
+        return RreqInfo(req_id=info.req_id, ring_ttl=info.ring_ttl,
+                        orig_seq=info.orig_seq, route=path)
 
     def _reply_as_target(self, pkt: Packet, path: tuple[int, ...]) -> None:
         self._send_rrep_source_routed(path, len(path) - 1)
@@ -489,11 +495,13 @@ class HopByHopNode(Node):
     def _route_confirmed(self, dest: int) -> None:
         """A reply just installed a confirmed route to dest."""
 
-    def _learn_reverse(self, pkt: Packet, frm: int) -> tuple:
+    def _learn_reverse(self, pkt: Packet, frm: int) -> RreqInfo:
         # the request travelled ring_ttl - ttl hops to frm, and one more here
-        hops = pkt.info.ring_ttl - pkt.ttl + 1
-        self._install_route(pkt.src, frm, hops, pkt.info.orig_seq)
-        return ()
+        info = pkt.info
+        self._install_route(pkt.src, frm, info.ring_ttl - pkt.ttl + 1,
+                            info.orig_seq)
+        # no route accumulates, so the forward carries the record unchanged
+        return info
 
     def _reply_as_target(self, pkt: Packet, path: tuple) -> None:
         self.seq += 1

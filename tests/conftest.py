@@ -1,8 +1,11 @@
-"""Test-suite settings: property tests draw the same examples on every run."""
+"""Test-suite settings: property tests draw the same examples on every run;
+the ``no_cycle_collector`` fixture."""
 
+import gc
 import os
 import tempfile
 
+import pytest
 from hypothesis import settings
 
 # Hypothesis caches the constants it reads from local sources even without an
@@ -16,3 +19,14 @@ os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
 settings.register_profile("ringsim", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("ringsim")
+
+
+@pytest.fixture
+def no_cycle_collector():
+    """Run a test with the cycle collector off: only reference counting frees."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()

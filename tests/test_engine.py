@@ -3,6 +3,7 @@
 import hashlib
 import heapq
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -406,3 +407,28 @@ def test_golden_mobility_output():
                 digest.update(format_trace(engine.trace).encode())
                 digest.update(repr(metrics).encode())
     assert digest.hexdigest() == GOLDEN_MOBILITY_SHA256
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+@pytest.mark.parametrize("mobile", [False, True], ids=["static", "mobile"])
+def test_finished_engine_freed_without_cycle_collector(protocol, mobile,
+                                                       no_cycle_collector):
+    """Nodes hold a weak proxy of their engine and run() drops the events
+    left past duration, so dropping a finished engine frees it at once; a
+    node kept past its engine raises ReferenceError."""
+    if mobile:
+        cfg = RunConfig(protocol=protocol, n_nodes=12,
+                        arena=Arena(500.0, 500.0, 200.0), v_max=10.0,
+                        duration=8.0, warmup=1.0, traffic_pairs=3, seed=2,
+                        trace=True)
+    else:
+        cfg = static_config(protocol=protocol, n_nodes=12, traffic_pairs=0,
+                            trace=False)
+    engine = Engine(cfg)
+    engine.run()
+    node = engine.nodes[0]
+    ref = weakref.ref(engine)
+    del engine
+    assert ref() is None
+    with pytest.raises(ReferenceError):
+        node.engine.now

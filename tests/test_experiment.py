@@ -3,6 +3,7 @@
 import hashlib
 import os
 import re
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -397,6 +398,26 @@ def test_probe_matches_traced_reference(protocol, variant, seed, p_s):
                                      for _, tag in opened)
     if p_s == 1.0:
         assert probe.sim_counts == probe.census_counts
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_cells_free_their_engine_without_cycle_collector(
+        protocol, monkeypatch, no_cycle_collector):
+    """A probe and a sweep cell leave nothing that keeps their engine alive."""
+    built = []
+
+    class RecordedEngine(Engine):
+        def __init__(self, config):
+            super().__init__(config)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(experiment, "Engine", RecordedEngine)
+    probe_discovery(protocol, Variant.ERS1, seed=1, n_nodes=12,
+                    arena=PROBE_ARENA)
+    experiment.run_cell(tiny_scenario(protocols=(protocol,)), protocol,
+                        Variant.ERS1, 0.0, 1)
+    assert len(built) == 2
+    assert [ref() for ref in built] == [None, None]
 
 
 def test_local_repair_records_its_request(monkeypatch):
