@@ -259,7 +259,8 @@ class Engine:
                 key = (pkt.src, pkt.info.req_id)
                 self.metrics.rreq_tx[key] = self.metrics.rreq_tx.get(key, 0) + 1
         if self.trace is not None:
-            self._trace("send", sender, pkt, self._send_tag(pkt))
+            self._trace("send", sender, pkt, "-" if pkt.kind != "RREQ"
+                        else (pkt.info.req_id, pkt.info.ring_ttl))
         delay = pkt.size * 8 / BANDWIDTH + HOP_LATENCY
         if next_hop is None:
             for nb in self.neighbor_lists[sender]:
@@ -280,13 +281,6 @@ class Engine:
             if self.trace is not None:
                 self._trace("drop", sender, pkt, "link_fail")
             self.nodes[sender].on_unicast_fail(pkt, next_hop)
-
-    @staticmethod
-    def _send_tag(pkt: Packet) -> str:
-        if pkt.kind == "RREQ":
-            info = pkt.info
-            return f"q{pkt.src}.{info.req_id}r{info.ring_ttl}"
-        return "-"
 
     def _deliver(self, node_id: int, pkt: Packet, frm: int) -> None:
         if self.trace is not None:
@@ -323,9 +317,9 @@ class Engine:
         if self.trace is not None:
             self._trace("drop", pkt.dst, pkt, reason)
 
+    # nodes call this only when traced: an untraced run makes no call
     def record_drop(self, node: int, pkt: Packet, reason: str) -> None:
-        if self.trace is not None:
-            self._trace("drop", node, pkt, reason)
+        self._trace("drop", node, pkt, reason)
 
     def protocol_error(self, node: int, pkt: Packet) -> None:
         self.metrics.protocol_errors += 1
@@ -342,15 +336,20 @@ class Engine:
 
     # ------------------------------------------------------------------ trace
 
-    def _trace(self, kind: str, node: int, pkt: Packet, reason: str) -> None:
+    def _trace(self, kind: str, node: int, pkt: Packet, reason) -> None:
         self.trace.append((self.now, kind, node, pkt.kind, pkt.src, pkt.dst,
                            pkt.ttl, reason))
 
 
 def format_trace(records: list[tuple]) -> str:
-    """Stable text form: `time kind node pkt_kind src dst ttl reason` per line."""
-    lines = [
-        f"{t:12.6f} {kind} {node} {pkt_kind} {src} {dst} {ttl} {reason}"
-        for t, kind, node, pkt_kind, src, dst, ttl, reason in records
-    ]
+    """Stable text form: `time kind node pkt_kind src dst ttl reason` per line.
+
+    Records hold those fields as values.  A request send's reason is the int
+    pair ``(req_id, ring_ttl)``, which only this function renders, as
+    ``q<src>.<req_id>r<ring_ttl>``; no code parses the text."""
+    lines = []
+    for t, kind, node, pkt_kind, src, dst, ttl, reason in records:
+        if not isinstance(reason, str):
+            reason = "q{}.{}r{}".format(src, *reason)
+        lines.append(f"{t:12.6f} {kind} {node} {pkt_kind} {src} {dst} {ttl} {reason}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -144,6 +144,9 @@ class Node:
         self.nid = nid
         self.params = params
         self.engine = engine
+        # fixed for the engine's life: the untraced duplicate path then makes
+        # no engine call at all
+        self.traced = engine.trace is not None
         self.rings = self.discovery_rings(variant)
         self.seq = 0
         # send time of each request this node originated; index = request id
@@ -276,7 +279,8 @@ class Node:
             return
         key = (pkt.src, pkt.info.req_id)
         if key in self.seen_requests:
-            self.engine.record_drop(self.nid, pkt, "duplicate")
+            if self.traced:
+                self.engine.record_drop(self.nid, pkt, "duplicate")
             return
         self.seen_requests.add(key)
         fwd = self._learn_reverse(pkt, frm)

@@ -236,13 +236,13 @@ def test_criterion_property_suites():
 
         seen = set()
         for record in engine.trace:
-            t, kind, node, pkt_kind, src, dst, ttl, tag = record
+            t, kind, node, pkt_kind, src, dst, ttl, request = record
             if kind != "send" or pkt_kind != "RREQ":
                 continue
-            key = (node, tag)
+            req_id, ring_ttl = request
+            key = (node, src, req_id)
             assert key not in seen, f"run {index}: duplicate rebroadcast {key}"
             seen.add(key)
-            ring_ttl = int(tag.rsplit("r", 1)[1])
             assert 0 <= ttl <= ring_ttl, \
                 f"run {index}: ttl {ttl} outside ring bound {ring_ttl}"
 

@@ -282,6 +282,39 @@ def test_trace_is_causal_and_formattable():
     assert len(line.split()) == 8
 
 
+def test_format_trace_renders_request_fields():
+    """A request send carries ints; format_trace alone turns them into text."""
+    records = [(1.5, "send", 4, "RREQ", 2, 9, 3, (7, 4)),
+               (1.5, "recv", 5, "RREQ", 2, 9, 3, "-")]
+    assert format_trace(records) == ("    1.500000 send 4 RREQ 2 9 3 q2.7r4\n"
+                                     "    1.500000 recv 5 RREQ 2 9 3 -\n")
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_duplicate_requests_reach_engine_only_when_traced(trace, monkeypatch):
+    """An untraced run makes no record_drop call; a traced run makes one per
+    duplicate line of its trace."""
+    calls = []
+    real = Engine.record_drop
+
+    def spy(self, node, pkt, reason):
+        calls.append(reason)
+        real(self, node, pkt, reason)
+
+    monkeypatch.setattr(Engine, "record_drop", spy)
+    cfg = static_config(protocol=Protocol.DYMO, n_nodes=20,
+                        arena=Arena(600.0, 600.0, 200.0), traffic_pairs=3,
+                        duration=5.0, trace=trace)
+    engine = Engine(cfg)
+    metrics = engine.run()
+    assert metrics.control_tx["RREQ"] > 0
+    if trace:
+        duplicates = [r for r in engine.trace if r[7] == "duplicate"]
+        assert duplicates and calls == ["duplicate"] * len(duplicates)
+    else:
+        assert calls == []
+
+
 def test_unicast_to_departed_neighbor_triggers_recovery():
     # nodes parked out of range; a fabricated route forces a unicast failure
     cfg = static_config(arena=Arena(1000.0, 1000.0, 50.0), traffic_pairs=1,

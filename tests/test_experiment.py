@@ -360,10 +360,10 @@ def test_golden_compare_output():
 
 
 def _own_rreq_sends(trace, nid):
-    """Times and tags of the requests nid originated, from the trace."""
-    return [(t, tag) for t, kind, node, pkt_kind, _, _, _, tag in trace
-            if kind == "send" and pkt_kind == "RREQ" and node == nid
-            and tag.startswith(f"q{nid}.")]
+    """Times and request ids of the requests nid originated, from the trace."""
+    return [(t, request[0]) for t, kind, node, pkt_kind, src, _, _, request
+            in trace if kind == "send" and pkt_kind == "RREQ" and node == nid
+            and src == nid]
 
 
 PROBE_ARENA = Arena(800.0, 800.0, 250.0)
@@ -388,14 +388,14 @@ def test_probe_matches_traced_reference(protocol, variant, seed, p_s):
     opened = _own_rreq_sends(engine.trace, 0)
     assert len(opened) == len(probe.ring_ttls)
     assert probe.emit_times == tuple(t for t, _ in opened)
-    # every forwarder's send carries the request tag q<orig>.<req_id>r<ttl>
+    # every forwarder's send names its request by (originator, req_id)
     per_request: dict = {}
-    for _, kind, _, pkt_kind, _, _, _, tag in engine.trace:
+    for _, kind, _, pkt_kind, src, _, _, request in engine.trace:
         if kind == "send" and pkt_kind == "RREQ":
-            request = tag.split("r")[0]
-            per_request[request] = per_request.get(request, 0) + 1
-    assert probe.sim_counts == tuple(per_request[tag.split("r")[0]]
-                                     for _, tag in opened)
+            key = (src, request[0])
+            per_request[key] = per_request.get(key, 0) + 1
+    assert probe.sim_counts == tuple(per_request[0, req_id]
+                                     for _, req_id in opened)
     if p_s == 1.0:
         assert probe.sim_counts == probe.census_counts
 

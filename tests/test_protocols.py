@@ -1,5 +1,6 @@
 """Protocol state-machine tests driven by a recording fake engine."""
 
+import inspect
 from collections import deque
 
 import pytest
@@ -22,8 +23,11 @@ from ringsim.topology import Arena
 
 
 class FakeEngine:
-    def __init__(self):
+    """Records what a node asks of its engine; mirrors ``Engine``'s API."""
+
+    def __init__(self, trace=False):
         self.now = 0.0
+        self.trace = [] if trace else None
         self.sent = []        # (sender, packet, next_hop)
         self.timers = []      # (delay, fn, args)
         self.data_drops = []  # (packet, reason)
@@ -58,12 +62,24 @@ class FakeEngine:
     def record_drop(self, node, pkt, reason):
         self.other_drops.append((node, pkt, reason))
 
-    def sent_kinds(self):
-        return [pkt.kind for _, pkt, _ in self.sent]
+
+def sent_kinds(engine):
+    return [pkt.kind for _, pkt, _ in engine.sent]
 
 
-def make_node(protocol, variant, nid=0):
-    engine = FakeEngine()
+@pytest.mark.parametrize("name", [name for name in vars(FakeEngine)
+                                  if not name.startswith("_")])
+def test_fake_engine_mirrors_engine(name):
+    """Each public FakeEngine method exists on Engine with the same
+    parameter names, so the fake cannot keep an API the engine dropped."""
+    assert callable(getattr(Engine, name, None)), name
+    fake = inspect.signature(getattr(FakeEngine, name)).parameters
+    real = inspect.signature(getattr(Engine, name)).parameters
+    assert list(fake) == list(real)
+
+
+def make_node(protocol, variant, nid=0, trace=False):
+    engine = FakeEngine(trace)
     params = default_params(protocol, variant)
     node = NODE_CLASSES[protocol](nid, variant, params, engine)
     return node, engine
@@ -104,7 +120,7 @@ def test_ring_wait_values():
 def test_initiate_discovery_first_ring():
     node, engine = make_node(Protocol.AODV, Variant.ERS1)
     node.send_data(data_packet(0, 7))
-    assert engine.sent_kinds() == ["RREQ"]
+    assert sent_kinds(engine) == ["RREQ"]
     _, rreq, next_hop = engine.sent[0]
     assert next_hop is None
     assert rreq.ttl == 2
@@ -145,7 +161,7 @@ def test_pending_discovery_coalesces():
     node.send_data(data_packet(0, 7, uid=0))
     engine.now = 0.1
     node.send_data(data_packet(0, 7, uid=1))
-    assert engine.sent_kinds().count("RREQ") == 1
+    assert sent_kinds(engine).count("RREQ") == 1
     assert len(node.pending[7].queue) == 2
 
 
@@ -187,7 +203,7 @@ def test_stale_timeout_generation_ignored():
     _, fn, args = engine.timers[0]
     fn(*args)   # ring 2 emitted under a new request id
     fn(*args)   # stale replay of the first timer must do nothing
-    assert len([k for k in engine.sent_kinds() if k == "RREQ"]) == 2
+    assert len([k for k in sent_kinds(engine) if k == "RREQ"]) == 2
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
@@ -199,7 +215,7 @@ def test_stale_reply_timer_leaves_next_discovery_alone(protocol):
     node.request_route(7)
     stale_fn(*stale_args)   # the first discovery's timer fires late
     assert node.pending[7].ring_index == 0
-    assert engine.sent_kinds().count("RREQ") == 2
+    assert sent_kinds(engine).count("RREQ") == 2
 
 
 def test_stale_repair_timer_leaves_next_repair_alone():
@@ -214,18 +230,21 @@ def test_stale_repair_timer_leaves_next_repair_alone():
     stale_fn(*stale_args)         # the first repair's timer fires late
     assert node.repairs[9].queue == deque([pkt])
     assert engine.data_drops == []
-    assert engine.sent_kinds().count("RERR") == 0
+    assert sent_kinds(engine).count("RERR") == 0
 
 
 # -------------------------------------------------------------------- RREQ
 
 def test_duplicate_rreq_dropped():
-    node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5)
-    node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=0)
-    engine.now = 0.1
-    node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=2)
-    assert engine.sent_kinds() == ["RREQ"]
-    assert [r for _, _, r in engine.other_drops] == ["duplicate"]
+    """A duplicate is suppressed either way; only a traced engine hears of it."""
+    for trace in (True, False):
+        node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5, trace=trace)
+        node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=0)
+        engine.now = 0.1
+        node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=2)
+        assert sent_kinds(engine) == ["RREQ"]
+        assert [r for _, _, r in engine.other_drops] == (["duplicate"] if trace
+                                                         else [])
 
 
 def test_rreq_ttl_gates_rebroadcast():
@@ -248,7 +267,7 @@ def test_negative_ttl_is_protocol_error():
 def test_destination_replies_with_rrep():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=9)
     node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0)
-    kinds = engine.sent_kinds()
+    kinds = sent_kinds(engine)
     assert kinds == ["RREP"]
     _, rrep, next_hop = engine.sent[0]
     assert next_hop == 0          # reverse route learned from the request
@@ -271,19 +290,19 @@ def test_aodv_intermediate_replies_only_with_confirmed_seq():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5)
     node._install_route(9, next_hop=6, hops=2, seq=4)  # reverse-learned
     node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0)
-    assert engine.sent_kinds() == ["RREQ"]  # forwarded, not answered
+    assert sent_kinds(engine) == ["RREQ"]  # forwarded, not answered
 
     node2, engine2 = make_node(Protocol.AODV, Variant.ERS1, nid=5)
     node2._install_route(9, next_hop=6, hops=2, seq=4, seq_valid=True)
     node2.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0)
-    assert engine2.sent_kinds() == ["RREP"]
+    assert sent_kinds(engine2) == ["RREP"]
 
 
 def test_dymo_intermediate_never_replies():
     node, engine = make_node(Protocol.DYMO, Variant.ERS1, nid=5)
     node._install_route(9, next_hop=6, hops=2, seq=4, seq_valid=True)
     node.on_packet(rreq_packet(0, 9, req_id=1, ttl=4), frm=0)
-    assert engine.sent_kinds() == ["RREQ"]
+    assert sent_kinds(engine) == ["RREQ"]
 
 
 # -------------------------------------------------------------- local repair
@@ -312,7 +331,7 @@ def test_local_repair_rejected_off_protocol():
     # only the AODV model repairs locally; the others drop and report
     for protocol in (Protocol.DSR, Protocol.DYMO):
         node, engine, _ = _break_forwarded_link(protocol, Variant.ERS1, 3)
-        assert "RREQ" not in engine.sent_kinds()
+        assert "RREQ" not in sent_kinds(engine)
         assert [r for _, r in engine.data_drops] == ["link_break"]
         assert not hasattr(node, "repairs")
 
@@ -331,11 +350,11 @@ def test_discovery_and_repair_for_one_destination_stay_apart():
 
     repair_fn(*repair_args)
     assert engine.data_drops == [(forwarded, "repair_failed")]
-    assert engine.sent_kinds() == ["RREQ", "RREQ", "RERR"]
+    assert sent_kinds(engine) == ["RREQ", "RREQ", "RERR"]
     assert node.pending[9].queue == deque([own])
 
     discovery_fn(*discovery_args)
-    assert engine.sent_kinds()[-1] == "RREQ"
+    assert sent_kinds(engine)[-1] == "RREQ"
     assert engine.sent[-1][1].ttl == 4
     assert node.pending_data_packets() == [own]
 
@@ -347,7 +366,7 @@ def test_repair_timeout_reports_upstream():
     engine.now = 1.0 + delay
     fn(*args)
     assert [reason for _, reason in engine.data_drops] == ["repair_failed"]
-    assert engine.sent_kinds() == ["RREQ", "RERR"]
+    assert sent_kinds(engine) == ["RREQ", "RERR"]
 
 
 # -------------------------------------------------------------- route cache
@@ -502,7 +521,7 @@ def test_hello_declares_silent_neighbor_broken():
     node.routes[9].last_data_use = 2.4
     engine.now = 2.5
     node.on_hello_tick()
-    assert engine.sent_kinds() == ["HELLO", "RREQ"]   # repair follows the break
+    assert sent_kinds(engine) == ["HELLO", "RREQ"]   # repair follows the break
     assert 8 not in node.last_heard
     assert 9 not in node.routes
 
@@ -512,7 +531,7 @@ def test_hello_keeps_recent_neighbor():
     node.last_heard[8] = 1.6
     engine.now = 2.5
     node.on_hello_tick()
-    assert engine.sent_kinds() == ["HELLO"]
+    assert sent_kinds(engine) == ["HELLO"]
     assert 8 in node.last_heard
 
 
@@ -579,7 +598,7 @@ def test_salvage_exhausted_drops_and_reports():
     engine.now = 1.0
     node.on_unicast_fail(pkt, next_hop=2)
     assert [r for _, r in engine.data_drops] == ["salvage_exhausted"]
-    kinds = engine.sent_kinds()
+    kinds = sent_kinds(engine)
     assert kinds == ["RERR"]
     _, rerr, next_hop = engine.sent[0]
     assert rerr.info.broken_link == (1, 2)
@@ -605,7 +624,7 @@ def test_dsr_reply_at_its_requester_releases_parked_data():
     node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=0)
     data = data_packet(0, 9)
     node.send_data(data)
-    assert engine.sent_kinds() == ["RREQ"]
+    assert sent_kinds(engine) == ["RREQ"]
     node.on_packet(_dsr_rrep((0, 4, 9), pos=0), frm=4)
     assert engine.finished == [True]
     assert 9 not in node.pending
