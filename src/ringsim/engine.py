@@ -307,7 +307,7 @@ class Engine:
             self.metrics.data_bytes_delivered += pkt.size
             self.metrics.delays.append(self.now - pkt.created_at)
 
-    def drop_data(self, pkt: Packet, reason: str) -> None:
+    def drop_data(self, node: int, pkt: Packet, reason: str) -> None:
         info = pkt.info
         if info.state != "active":
             return
@@ -315,7 +315,7 @@ class Engine:
         if pkt.created_at >= self.config.warmup:
             self.metrics.drops[reason] = self.metrics.drops.get(reason, 0) + 1
         if self.trace is not None:
-            self._trace("drop", pkt.dst, pkt, reason)
+            self._trace("drop", node, pkt, reason)
 
     # nodes call this only when traced: an untraced run makes no call
     def record_drop(self, node: int, pkt: Packet, reason: str) -> None:
@@ -344,8 +344,8 @@ class Engine:
 def format_trace(records: list[tuple]) -> str:
     """Stable text form: `time kind node pkt_kind src dst ttl reason` per line.
 
-    Records hold those fields as values.  A request send's reason is the int
-    pair ``(req_id, ring_ttl)``, which only this function renders, as
+    Records hold those fields as values; ``node`` is where the event happened.
+    Only here does a request send's ``(req_id, ring_ttl)`` reason become
     ``q<src>.<req_id>r<ring_ttl>``; no code parses the text."""
     lines = []
     for t, kind, node, pkt_kind, src, dst, ttl, reason in records:

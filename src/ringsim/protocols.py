@@ -197,7 +197,7 @@ class Node:
             return
         pkt.ttl -= 1
         if pkt.ttl <= 0:
-            self.engine.drop_data(pkt, "ttl_expired")
+            self.engine.drop_data(self.nid, pkt, "ttl_expired")
             return
         self._dispatch_data(pkt)
 
@@ -206,7 +206,7 @@ class Node:
         # always the drain path
         queue = self.request_route(pkt.dst).queue
         if len(queue) >= QUEUE_LIMIT:
-            self.engine.drop_data(queue.popleft(), "queue_overflow")
+            self.engine.drop_data(self.nid, queue.popleft(), "queue_overflow")
         queue.append(pkt)
 
     def pending_data_packets(self) -> list[Packet]:
@@ -271,7 +271,7 @@ class Node:
             if success:
                 self._dispatch_data(pkt)
             else:
-                self.engine.drop_data(pkt, "discovery_failed")
+                self.engine.drop_data(self.nid, pkt, "discovery_failed")
 
     def _handle_rreq(self, pkt: Packet, frm: int) -> None:
         if pkt.ttl < 0:
@@ -421,7 +421,7 @@ class SourceRouteNode(Node):
             reason = "link_break"
         else:
             reason = "salvage_exhausted"
-        self.engine.drop_data(pkt, reason)
+        self.engine.drop_data(self.nid, pkt, reason)
         self._send_rerr_source_routed(pkt, (self.nid, broken_next))
 
     def _overhear(self, pkt: Packet) -> None:
@@ -486,7 +486,7 @@ class HopByHopNode(Node):
 
     def _route_lost(self, pkt: Packet, reason: str, active: list[int]) -> None:
         """A forwarder holds pkt but no route to its destination."""
-        self.engine.drop_data(pkt, reason)
+        self.engine.drop_data(self.nid, pkt, reason)
         if pkt.dst not in active:
             active.append(pkt.dst)
         self._broadcast_rerr(tuple(active))
@@ -661,7 +661,7 @@ class AodvNode(HopByHopNode):
             return
         del self.repairs[dest]
         for pkt in state.queue:
-            self.engine.drop_data(pkt, "repair_failed")
+            self.engine.drop_data(self.nid, pkt, "repair_failed")
         self._broadcast_rerr((dest,))
 
     def _route_confirmed(self, dest: int) -> None:

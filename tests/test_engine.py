@@ -290,6 +290,18 @@ def test_format_trace_renders_request_fields():
                                      "    1.500000 recv 5 RREQ 2 9 3 -\n")
 
 
+def test_data_drop_trace_names_dropping_node():
+    """Out of range of each other, the source's discoveries fail, and each
+    drop of its parked data is traced at the source, not the destination."""
+    engine = Engine(static_config(protocol=Protocol.DSR, duration=3.0,
+                                  arena=Arena(1000.0, 1000.0, 10.0)))
+    metrics = engine.run()
+    drops = [r for r in engine.trace if r[1] == "drop" and r[3] == "DATA"]
+    assert len(drops) == metrics.drops["discovery_failed"] > 0
+    assert all(r[7] == "discovery_failed" and r[2] == r[4] != r[5]
+               for r in drops)
+
+
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 def test_duplicate_requests_reach_engine_only_when_traced(trace, monkeypatch):
     """An untraced run makes no record_drop call; a traced run makes one per
@@ -399,7 +411,10 @@ def test_stale_cache_purged_after_mid_run_break():
 
 # Recorded on CPython 3.11.7 with numpy 2.4.6.  Any change to what a run
 # sends, drops, delivers or counts moves this hash; a refactor must not.
-GOLDEN_SHA256 = "613f7cf078ea5ce7c7f3c322fdcb34dcd35a092ea4d0ed95845e008f1c607f41"
+# Re-recorded (was 613f7cf0…607f41) when data-drop trace lines began naming
+# the node that dropped the packet instead of its destination; only the node
+# column of those lines changed, and repr(metrics) is the same in every cell.
+GOLDEN_SHA256 = "dbffb8a1be45ddab380cdb6eb7ebc2b147ba5b5ce76ae1a886294437dcf3c3d6"
 
 
 def test_golden_exact_output():
@@ -421,8 +436,9 @@ def test_golden_exact_output():
 
 # Recorded like GOLDEN_SHA256.  Paused random-waypoint motion: small arena
 # and fast nodes, so every run has arrivals, pause countdowns and expiries.
+# Re-recorded (was 82f77e2a…742580) with GOLDEN_SHA256, for the same reason.
 GOLDEN_MOBILITY_SHA256 = (
-    "82f77e2a38db379c83fdda1a422029ac5cd7a6001d9f03a446748df0f8742580")
+    "dc8dfada87dcae0a087db6c660c2686913ae8151ca1f10969a2a45c3b4c84658")
 
 
 def test_golden_mobility_output():

@@ -30,7 +30,7 @@ class FakeEngine:
         self.trace = [] if trace else None
         self.sent = []        # (sender, packet, next_hop)
         self.timers = []      # (delay, fn, args)
-        self.data_drops = []  # (packet, reason)
+        self.data_drops = []  # (node, packet, reason)
         self.delivered = []
         self.finished = []    # success flags
         self.errors = 0
@@ -49,9 +49,9 @@ class FakeEngine:
         pkt.info.state = "delivered"
         self.delivered.append(pkt)
 
-    def drop_data(self, pkt, reason):
+    def drop_data(self, node, pkt, reason):
         pkt.info.state = "dropped"
-        self.data_drops.append((pkt, reason))
+        self.data_drops.append((node, pkt, reason))
 
     def discovery_finished(self, success):
         self.finished.append(success)
@@ -193,7 +193,8 @@ def test_schedule_exhaustion_drops_queue():
         engine.now += delay
         fn(*args)
     assert engine.finished == [False]
-    assert [reason for _, reason in engine.data_drops] == ["discovery_failed"]
+    # the source, node 0, drops its parked data
+    assert [(n, r) for n, _, r in engine.data_drops] == [(0, "discovery_failed")]
     assert 7 not in node.pending
 
 
@@ -332,7 +333,7 @@ def test_local_repair_rejected_off_protocol():
     for protocol in (Protocol.DSR, Protocol.DYMO):
         node, engine, _ = _break_forwarded_link(protocol, Variant.ERS1, 3)
         assert "RREQ" not in sent_kinds(engine)
-        assert [r for _, r in engine.data_drops] == ["link_break"]
+        assert [(n, r) for n, _, r in engine.data_drops] == [(3, "link_break")]
         assert not hasattr(node, "repairs")
 
 
@@ -349,7 +350,7 @@ def test_discovery_and_repair_for_one_destination_stay_apart():
     assert sorted(p.info.uid for p in node.pending_data_packets()) == [0, 1]
 
     repair_fn(*repair_args)
-    assert engine.data_drops == [(forwarded, "repair_failed")]
+    assert engine.data_drops == [(3, forwarded, "repair_failed")]
     assert sent_kinds(engine) == ["RREQ", "RREQ", "RERR"]
     assert node.pending[9].queue == deque([own])
 
@@ -365,7 +366,7 @@ def test_repair_timeout_reports_upstream():
     delay, fn, args = engine.timers[0]
     engine.now = 1.0 + delay
     fn(*args)
-    assert [reason for _, reason in engine.data_drops] == ["repair_failed"]
+    assert [(n, r) for n, _, r in engine.data_drops] == [(3, "repair_failed")]
     assert sent_kinds(engine) == ["RREQ", "RERR"]
 
 
@@ -597,7 +598,7 @@ def test_salvage_exhausted_drops_and_reports():
     pkt = _dsr_data((0, 1, 2, 3), pos=1, salvage=2)
     engine.now = 1.0
     node.on_unicast_fail(pkt, next_hop=2)
-    assert [r for _, r in engine.data_drops] == ["salvage_exhausted"]
+    assert [(n, r) for n, _, r in engine.data_drops] == [(1, "salvage_exhausted")]
     kinds = sent_kinds(engine)
     assert kinds == ["RERR"]
     _, rerr, next_hop = engine.sent[0]
