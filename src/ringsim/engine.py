@@ -158,7 +158,6 @@ class Engine:
                       for i in range(config.n_nodes)]
         # DATA packets handed to the link and not yet delivered, by identity
         self._data_in_flight: dict[int, Packet] = {}
-        self._uid = 0
         # random-waypoint arrays, built only when nodes move
         self._waypoints = init_waypoints(
             self.graph0.positions, config.arena, config.v_max,
@@ -214,17 +213,13 @@ class Engine:
         return self.metrics
 
     def _account_in_flight(self) -> None:
-        active = set()
+        # a data packet still held sits in one pending queue or on the link,
+        # never in two places, so a plain count counts each once
+        held = [pkt for node in self.nodes for pkt in node.pending_data_packets()]
+        held.extend(self._data_in_flight.values())
         warmup = self.config.warmup
-        for node in self.nodes:
-            for pkt in node.pending_data_packets():
-                info = pkt.info
-                if info.state == "active" and pkt.created_at >= warmup:
-                    active.add(info.uid)
-        for pkt in self._data_in_flight.values():
-            if pkt.info.state == "active" and pkt.created_at >= warmup:
-                active.add(pkt.info.uid)
-        self.metrics.data_inflight_end = len(active)
+        self.metrics.data_inflight_end = sum(pkt.created_at >= warmup
+                                             for pkt in held)
 
     # ------------------------------------------------------------ tick events
 
@@ -242,8 +237,7 @@ class Engine:
 
     def _traffic_tick(self, src: int, dst: int, interval: float) -> None:
         pkt = Packet("DATA", self.config.packet_size, src, dst,
-                     DATA_HOP_LIMIT, self.now, DataInfo(uid=self._uid))
-        self._uid += 1
+                     DATA_HOP_LIMIT, self.now, DataInfo())
         if pkt.created_at >= self.config.warmup:
             self.metrics.data_sent += 1
         self.nodes[src].send_data(pkt)
@@ -297,21 +291,15 @@ class Engine:
         return self.config.p_s >= 1.0 \
             or self._rng_forward.random() < self.config.p_s
 
+    # a packet ends in exactly one call to data_delivered or drop_data; a
+    # second end is counted again and fails the conservation check
     def data_delivered(self, pkt: Packet) -> None:
-        info = pkt.info
-        if info.state != "active":
-            return
-        info.state = "delivered"
         if pkt.created_at >= self.config.warmup:
             self.metrics.data_delivered += 1
             self.metrics.data_bytes_delivered += pkt.size
             self.metrics.delays.append(self.now - pkt.created_at)
 
     def drop_data(self, node: int, pkt: Packet, reason: str) -> None:
-        info = pkt.info
-        if info.state != "active":
-            return
-        info.state = "dropped"
         if pkt.created_at >= self.config.warmup:
             self.metrics.drops[reason] = self.metrics.drops.get(reason, 0) + 1
         if self.trace is not None:

@@ -40,19 +40,23 @@ class RerrInfo:
     pos: int = 0                 # index in route of the node holding the error
 
 
+# A data packet has one holder at a time (a handler, a pending queue or the
+# link) and ends once, delivered or dropped, so it carries no identity and no
+# lifecycle state: the engine's conservation check sees a second end.
 @dataclass(slots=True)
 class DataInfo:
-    uid: int
     route: tuple[int, ...] = ()     # current source route (source-routing only)
     pos: int = 0                    # index of the current holder in route
     traveled: tuple[int, ...] = ()  # hops actually visited, for error back-paths
     salvage_count: int = 0
-    state: str = "active"           # active | delivered | dropped
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Packet:
-    """One simulated packet; control kinds feed the routing-load numerator."""
+    """One simulated packet; control kinds feed the routing-load numerator.
+
+    Packets compare by identity: two packets with equal fields are still two
+    packets."""
 
     kind: str  # RREQ | RREP | RERR | HELLO | DATA
     size: int

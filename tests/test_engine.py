@@ -386,13 +386,10 @@ def test_stale_cache_purged_after_mid_run_break():
     engine.neighbor_lists = unit_disk_neighbors(line, cfg.arena.radio_range)
 
     src, dst = engine.nodes[0], 4
-    uid = [0]
 
     def send_one():
         from ringsim.packets import DataInfo, Packet
-        pkt = Packet("DATA", 512, 0, dst, 64, engine.now,
-                     DataInfo(uid=uid[0]))
-        uid[0] += 1
+        pkt = Packet("DATA", 512, 0, dst, 64, engine.now, DataInfo())
         engine.metrics.data_sent += 1
         src.send_data(pkt)
 

@@ -30,7 +30,8 @@ from ringsim.experiment import (
     summarize,
     sweep_cells,
 )
-from ringsim.protocols import AodvNode
+from ringsim.packets import DataInfo, Packet
+from ringsim.protocols import AodvNode, Node
 from ringsim.topology import Arena
 
 
@@ -246,6 +247,41 @@ def test_sweep_checks_packet_conservation(monkeypatch):
     assert len(rows) == 2
     assert all("packet conservation violated" in r.error for r in rows)
     assert all(r.throughput_bps is None for r in rows)
+
+
+@pytest.mark.parametrize("ends", [("deliver", "deliver"), ("drop", "drop"),
+                                  ("deliver", "drop")], ids="-".join)
+def test_packet_ending_twice_fails_conservation(ends):
+    """A measured packet ends once; a second end is counted, not absorbed."""
+    engine = Engine(RunConfig(n_nodes=2, v_max=0.0, duration=1.0,
+                              traffic_pairs=0))
+    metrics = engine.run()
+    pkt = Packet("DATA", 512, 0, 1, 64, 0.0, DataInfo())
+    metrics.data_sent += 1
+    for end in ends:
+        if end == "deliver":
+            engine.data_delivered(pkt)
+        else:
+            engine.drop_data(0, pkt, "ttl_expired")
+    with pytest.raises(RuntimeError, match="packet conservation violated"):
+        experiment._check_conservation(metrics)
+
+
+def test_node_ending_a_packet_twice_fails_the_cell(monkeypatch):
+    """A destination made to deliver each packet twice turns every cell with
+    a delivery into an error row."""
+    handle_data = Node._handle_data
+
+    def deliver_twice(self, pkt, frm):
+        handle_data(self, pkt, frm)
+        if self.nid == pkt.dst:
+            self.engine.data_delivered(pkt)
+
+    monkeypatch.setattr(Node, "_handle_data", deliver_twice)
+    rows = run_sweep(tiny_scenario(protocols=tuple(Protocol), seeds=(1,),
+                                   v_max=0.0, radio_range=250.0))
+    assert len(rows) == 6
+    assert all("packet conservation violated" in r.error for r in rows)
 
 
 @pytest.mark.parametrize("parallel", [0, -1])

@@ -46,11 +46,9 @@ class FakeEngine:
         return True
 
     def data_delivered(self, pkt):
-        pkt.info.state = "delivered"
         self.delivered.append(pkt)
 
     def drop_data(self, node, pkt, reason):
-        pkt.info.state = "dropped"
         self.data_drops.append((node, pkt, reason))
 
     def discovery_finished(self, success):
@@ -85,8 +83,8 @@ def make_node(protocol, variant, nid=0, trace=False):
     return node, engine
 
 
-def data_packet(src, dst, uid=0):
-    return Packet("DATA", 512, src, dst, 64, 0.0, DataInfo(uid=uid))
+def data_packet(src, dst):
+    return Packet("DATA", 512, src, dst, 64, 0.0, DataInfo())
 
 
 def rreq_packet(orig, target, req_id, ttl, route=(), orig_seq=1, ring_ttl=None):
@@ -158,9 +156,9 @@ def test_node_reads_engine_clock(protocol):
 
 def test_pending_discovery_coalesces():
     node, engine = make_node(Protocol.AODV, Variant.ERS1)
-    node.send_data(data_packet(0, 7, uid=0))
+    node.send_data(data_packet(0, 7))
     engine.now = 0.1
-    node.send_data(data_packet(0, 7, uid=1))
+    node.send_data(data_packet(0, 7))
     assert sent_kinds(engine).count("RREQ") == 1
     assert len(node.pending[7].queue) == 2
 
@@ -226,7 +224,7 @@ def test_stale_repair_timer_leaves_next_repair_alone():
     node._route_confirmed(9)
     assert 9 not in node.repairs
     del node.routes[9]
-    pkt = data_packet(0, 9, uid=1)
+    pkt = data_packet(0, 9)
     node.on_packet(pkt, frm=0)    # no route again: a second repair for 9
     stale_fn(*stale_args)         # the first repair's timer fires late
     assert node.repairs[9].queue == deque([pkt])
@@ -341,13 +339,14 @@ def test_discovery_and_repair_for_one_destination_stay_apart():
     """An AODV node can be the source of a discovery for 9 and the repairer
     of a route to 9 at once; each record keeps its own packets and timer."""
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=3)
-    own = data_packet(3, 9, uid=0)
+    own = data_packet(3, 9)
     node.send_data(own)
     _, discovery_fn, discovery_args = engine.timers[0]
-    forwarded = data_packet(0, 9, uid=1)
+    forwarded = data_packet(0, 9)
     node.on_packet(forwarded, frm=0)
     _, repair_fn, repair_args = engine.timers[1]
-    assert sorted(p.info.uid for p in node.pending_data_packets()) == [0, 1]
+    held = node.pending_data_packets()
+    assert len(held) == 2 and held[0] is own and held[1] is forwarded
 
     repair_fn(*repair_args)
     assert engine.data_drops == [(3, forwarded, "repair_failed")]
@@ -575,7 +574,7 @@ def test_engine_arms_hellos_from_class_flag(monkeypatch):
 # ---------------------------------------------------- salvage and gratuitous
 
 def _dsr_data(route, pos, src=0, dst=3, salvage=0):
-    info = DataInfo(uid=1, route=route, pos=pos,
+    info = DataInfo(route=route, pos=pos,
                     traveled=route[:pos + 1], salvage_count=salvage)
     return Packet("DATA", 512, src, dst, 64, 0.0, info)
 
@@ -636,7 +635,7 @@ def test_dsr_reply_at_its_requester_releases_parked_data():
 def test_dsr_error_walks_the_traveled_hops_back():
     # node 1 salvaged the data onto (1, 5, 3); then 5 loses its link to 3
     broken, engine5 = make_node(Protocol.DSR, Variant.ERS1, nid=5)
-    info = DataInfo(uid=1, route=(1, 5, 3), pos=1, traveled=(0, 1, 5),
+    info = DataInfo(route=(1, 5, 3), pos=1, traveled=(0, 1, 5),
                     salvage_count=1)
     broken.on_unicast_fail(Packet("DATA", 512, 0, 3, 64, 0.0, info),
                            next_hop=3)
