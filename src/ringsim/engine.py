@@ -98,7 +98,6 @@ class MetricsRecord:
     drops: dict = field(default_factory=dict)        # reason -> count
     discovery_success: int = 0
     discovery_fail: int = 0
-    protocol_errors: int = 0
     data_inflight_end: int = 0
     rreq_tx: dict = field(default_factory=dict)      # (orig, req_id) -> sends
 
@@ -308,11 +307,6 @@ class Engine:
     # nodes call this only when traced: an untraced run makes no call
     def record_drop(self, node: int, pkt: Packet, reason: str) -> None:
         self._trace("drop", node, pkt, reason)
-
-    def protocol_error(self, node: int, pkt: Packet) -> None:
-        self.metrics.protocol_errors += 1
-        if self.trace is not None:
-            self._trace("drop", node, pkt, "bad_ttl")
 
     def discovery_finished(self, success: bool) -> None:
         if self.now < self.config.warmup:

@@ -274,9 +274,8 @@ class Node:
                 self.engine.drop_data(self.nid, pkt, "discovery_failed")
 
     def _handle_rreq(self, pkt: Packet, frm: int) -> None:
-        if pkt.ttl < 0:
-            self.engine.protocol_error(self.nid, pkt)
-            return
+        # every request arrives with ttl >= 1: a ring or repair starts at 1 or
+        # more, and a forward goes out only while the new ttl stays above 0
         key = (pkt.src, pkt.info.req_id)
         if key in self.seen_requests:
             if self.traced:

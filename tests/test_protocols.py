@@ -33,7 +33,6 @@ class FakeEngine:
         self.data_drops = []  # (node, packet, reason)
         self.delivered = []
         self.finished = []    # success flags
-        self.errors = 0
         self.other_drops = []
 
     def send(self, sender, pkt, next_hop=None):
@@ -53,9 +52,6 @@ class FakeEngine:
 
     def discovery_finished(self, success):
         self.finished.append(success)
-
-    def protocol_error(self, node, pkt):
-        self.errors += 1
 
     def record_drop(self, node, pkt, reason):
         self.other_drops.append((node, pkt, reason))
@@ -254,13 +250,6 @@ def test_rreq_ttl_gates_rebroadcast():
     fwd = engine.sent[0][1]
     assert fwd.ttl == 1
     assert fwd.info.ring_ttl - fwd.ttl == 1    # one hop travelled
-
-
-def test_negative_ttl_is_protocol_error():
-    node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5)
-    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=-1), frm=0)
-    assert engine.errors == 1
-    assert engine.sent == []
 
 
 def test_destination_replies_with_rrep():
