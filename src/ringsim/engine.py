@@ -271,8 +271,10 @@ class Engine:
             else:
                 self.schedule_in(delay, self._deliver, next_hop, pkt, sender)
         else:
+            # a failed hand-off is not a loss: the node salvages, re-queues
+            # or drops the packet, and only a drop is traced as one
             if self.trace is not None:
-                self._trace("drop", sender, pkt, "link_fail")
+                self._trace("fail", sender, pkt, "link_fail")
             self.nodes[sender].on_unicast_fail(pkt, next_hop)
 
     def _deliver(self, node_id: int, pkt: Packet, frm: int) -> None:
@@ -326,7 +328,9 @@ class Engine:
 def format_trace(records: list[tuple]) -> str:
     """Stable text form: `time kind node pkt_kind src dst ttl reason` per line.
 
-    Records hold those fields as values; ``node`` is where the event happened.
+    Records hold those fields as values; ``kind`` is send, recv, drop or fail
+    (a unicast whose next hop has gone), and ``node`` is where the event
+    happened.
     Only here does a request send's ``(req_id, ring_ttl)`` reason become
     ``q<src>.<req_id>r<ring_ttl>``; no code parses the text."""
     lines = []

@@ -302,6 +302,22 @@ def test_data_drop_trace_names_dropping_node():
                for r in drops)
 
 
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_data_drop_lines_match_drop_counters(protocol):
+    """A failed hand-off is traced as a fail, not a drop: the node may still
+    salvage or re-queue the packet.  So with no warmup, the trace has one
+    data drop line per counted drop."""
+    cfg = RunConfig(protocol=protocol, n_nodes=30,
+                    arena=Arena(800.0, 800.0, 180.0), v_max=20.0,
+                    duration=20.0, warmup=0.0, traffic_pairs=5, seed=3,
+                    trace=True)
+    engine = Engine(cfg)
+    metrics = engine.run()
+    drops = [r for r in engine.trace if r[1] == "drop" and r[3] == "DATA"]
+    assert any(r[1] == "fail" and r[3] == "DATA" for r in engine.trace)
+    assert len(drops) == sum(metrics.drops.values()) > 0
+
+
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 def test_duplicate_requests_reach_engine_only_when_traced(trace, monkeypatch):
     """An untraced run makes no record_drop call; a traced run makes one per
@@ -339,7 +355,7 @@ def test_unicast_to_departed_neighbor_triggers_recovery():
             seq_valid=True)
     metrics = engine.run()
     rreqs = [r for r in engine.trace if r[1] == "send" and r[3] == "RREQ"]
-    fails = [r for r in engine.trace if r[1] == "drop" and r[7] == "link_fail"]
+    fails = [r for r in engine.trace if r[1] == "fail" and r[7] == "link_fail"]
     assert fails, "the dead unicast must surface as a link failure"
     assert rreqs, "a discovery must follow the failed unicast"
     assert metrics.data_delivered == 0
@@ -414,7 +430,10 @@ def test_stale_cache_purged_after_mid_run_break():
 # Re-recorded (was dbffb8a1…f3c3d6) when MetricsRecord lost protocol_errors,
 # a counter no run could raise: repr(metrics) lost "protocol_errors=0, " in
 # every cell, and the old hash with that cut gives this one.
-GOLDEN_SHA256 = "2d8a74a8798264fa0bc465da5af3da56d567223cd0354f9aba0027e79dfbe252"
+# Re-recorded (was 2d8a74a8…dfbe252) when a unicast whose next hop has gone
+# began to be traced as "fail … link_fail", not "drop … link_fail": only the
+# kind column of those lines changed.
+GOLDEN_SHA256 = "f029d3c6d7252ba86c6ff6b117e4903800efb10127a669c6d28426002276bed6"
 
 
 def test_golden_exact_output():
@@ -437,9 +456,10 @@ def test_golden_exact_output():
 # Recorded like GOLDEN_SHA256.  Paused random-waypoint motion: small arena
 # and fast nodes, so every run has arrivals, pause countdowns and expiries.
 # Re-recorded (was 82f77e2a…742580) with GOLDEN_SHA256, for the same reason,
-# and again (was dc8dfada…c84658) with it when protocol_errors went.
+# and again (was dc8dfada…c84658) with it when protocol_errors went, and
+# (was 6945ef19…f46a41) when failed hand-offs became "fail" lines.
 GOLDEN_MOBILITY_SHA256 = (
-    "6945ef19c7b4e26935010aea008e9d02f52aed05a03b023346c06e7710f46a41")
+    "c1b84194b460efad1454497af8b7aca16ff2b6f8ef8b45fa15496e63d7abf9c3")
 
 
 def test_golden_mobility_output():
