@@ -23,18 +23,20 @@ class RreqInfo:
     route: tuple[int, ...] = ()  # source-routing protocols accumulate the path
 
 
+# Each family sets only the fields it reads: hop-by-hop replies carry the
+# hop count and sequence number, source-routed ones the route and position.
 @dataclass(slots=True)
 class RrepInfo:
     # the header names the target (src) and the requester (dst)
-    hops_from_target: int
-    target_seq: int
+    hops_from_target: int = 0
+    target_seq: int = 0
     route: tuple[int, ...] = ()  # source routing: full route requester..target
     pos: int = 0                 # index in route of the node holding the reply
 
 
 @dataclass(slots=True)
 class RerrInfo:
-    unreachable: tuple[int, ...]
+    unreachable: tuple[int, ...] = ()  # hop-by-hop: destinations lost
     broken_link: tuple[int, int] | None = None
     route: tuple[int, ...] = ()  # source routing: hops the data travelled
     pos: int = 0                 # index in route of the node holding the error

@@ -360,8 +360,7 @@ class SourceRouteNode(Node):
     def _send_rrep_source_routed(self, full_route: tuple[int, ...],
                                  replier: int) -> None:
         """Send full_route back from its node at index replier to its start."""
-        info = RrepInfo(hops_from_target=0, target_seq=0, route=full_route,
-                        pos=replier)
+        info = RrepInfo(route=full_route, pos=replier)
         self._walk_back(Packet("RREP", CONTROL_SIZE, full_route[-1],
                                full_route[0], 0, self.engine.now, info))
 
@@ -391,8 +390,8 @@ class SourceRouteNode(Node):
                                  broken: tuple[int, int]) -> None:
         # the data travelled from its source to this node, the last hop
         traveled = data_pkt.info.traveled
-        info = RerrInfo(unreachable=(data_pkt.dst,), broken_link=broken,
-                        route=traveled, pos=len(traveled) - 1)
+        info = RerrInfo(broken_link=broken, route=traveled,
+                        pos=len(traveled) - 1)
         self._walk_back(Packet("RERR", CONTROL_SIZE, self.nid, data_pkt.src,
                                0, self.engine.now, info))
 

@@ -38,12 +38,12 @@ class Arena:
 class Graph:
     """Immutable unit-disk connectivity snapshot.
 
-    Nodes i and j are adjacent iff their Euclidean distance is at most
-    radio_range.  Neighbor lists are sorted, symmetric, self-loop free.
+    Nodes i and j are adjacent iff their Euclidean distance is at most the
+    radio range given to :func:`graph_from_positions`.  Neighbor lists are
+    sorted, symmetric, self-loop free.
     """
 
     positions: tuple[tuple[float, float], ...]
-    radio_range: float
     neighbors: tuple[tuple[int, ...], ...]
 
     @property
@@ -78,7 +78,6 @@ def graph_from_positions(positions: Sequence[tuple[float, float]],
     nbrs = unit_disk_neighbors(positions, radio_range)
     return Graph(
         positions=tuple((float(x), float(y)) for x, y in positions),
-        radio_range=radio_range,
         neighbors=tuple(tuple(row) for row in nbrs),
     )
 
@@ -248,11 +247,3 @@ def waypoint_step(state: WaypointState, dt: float, pause_time: float,
     for i in np.flatnonzero(redraw).tolist():
         wp[i] = _draw_waypoint(arena, rng)
         speed[i] = _draw_speed(v_max, rng)
-
-
-def dump_topology(graph: Graph) -> str:
-    """Plain-text dump: one `id x y` line per node, then one `i j` line per edge."""
-    lines = [f"{i} {x:.3f} {y:.3f}" for i, (x, y) in enumerate(graph.positions)]
-    for i, nbrs in enumerate(graph.neighbors):
-        lines.extend(f"{i} {j}" for j in nbrs if i < j)
-    return "\n".join(lines) + "\n"

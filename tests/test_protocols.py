@@ -596,7 +596,7 @@ def test_salvage_exhausted_drops_and_reports():
 
 def _dsr_rrep(route, pos):
     """A reply for route held by route[pos], on its way back to route[0]."""
-    info = RrepInfo(hops_from_target=0, target_seq=0, route=route, pos=pos)
+    info = RrepInfo(route=route, pos=pos)
     return Packet("RREP", 64, route[-1], route[0], 0, 0.0, info)
 
 

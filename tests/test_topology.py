@@ -15,7 +15,6 @@ from ringsim.topology import (
     WaypointState,
     bfs_rings,
     connectivity_profile,
-    dump_topology,
     generate_topology,
     graph_from_positions,
     hop_distances,
@@ -413,15 +412,3 @@ def test_unit_disk_neighbors_matches_per_row_reference():
         assert len({id(row) for row in rows}) == len(rows)
     assert unit_disk_neighbors([(0.0, 0.0)], 250.0) == [[]]
     assert unit_disk_neighbors([(0.0, 0.0), (250.0, 0.0)], 250.0) == [[1], [0]]
-
-
-def test_dump_topology_round_trip():
-    graph = generate_topology(3, 12, Arena(300.0, 300.0, 120.0))
-    text = dump_topology(graph)
-    node_lines = [l for l in text.splitlines() if len(l.split()) == 3]
-    edge_lines = [l for l in text.splitlines() if len(l.split()) == 2]
-    assert len(node_lines) == graph.n
-    assert len(edge_lines) == sum(len(n) for n in graph.neighbors) // 2
-    for line in edge_lines:
-        a, b = (int(x) for x in line.split())
-        assert b in graph.neighbors[a]
