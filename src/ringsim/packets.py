@@ -23,8 +23,9 @@ class RreqInfo:
     route: tuple[int, ...] = ()  # source-routing protocols accumulate the path
 
 
-# Each family sets only the fields it reads: hop-by-hop replies carry the
-# hop count and sequence number, source-routed ones the route and position.
+# Replies and errors: each family sets only the fields it reads.  Hop-by-hop
+# nodes use the hop count, sequence number and unreachable destinations;
+# source-routing nodes the route, position and broken link.
 @dataclass(slots=True)
 class RrepInfo:
     # the header names the target (src) and the requester (dst)
@@ -53,12 +54,9 @@ class DataInfo:
     salvage_count: int = 0
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(slots=True, eq=False)  # equal only to itself, whatever its fields
 class Packet:
-    """One simulated packet; control kinds feed the routing-load numerator.
-
-    Packets compare by identity: two packets with equal fields are still two
-    packets."""
+    """One simulated packet; control kinds feed the routing-load numerator."""
 
     kind: str  # RREQ | RREP | RERR | HELLO | DATA
     size: int

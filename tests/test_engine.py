@@ -427,9 +427,10 @@ def test_stale_cache_purged_after_mid_run_break():
 # Re-recorded (was 613f7cf0…607f41) when data-drop trace lines began naming
 # the node that dropped the packet instead of its destination; only the node
 # column of those lines changed, and repr(metrics) is the same in every cell.
-# Re-recorded (was dbffb8a1…f3c3d6) when MetricsRecord lost protocol_errors,
-# a counter no run could raise: repr(metrics) lost "protocol_errors=0, " in
-# every cell, and the old hash with that cut gives this one.
+# Re-recorded (was dbffb8a1…f3c3d6) when MetricsRecord lost its count of
+# requests received with a negative TTL, which no run could raise:
+# repr(metrics) lost that field, always 0, in every cell, and nothing else
+# changed.
 # Re-recorded (was 2d8a74a8…dfbe252) when a unicast whose next hop has gone
 # began to be traced as "fail … link_fail", not "drop … link_fail": only the
 # kind column of those lines changed.
@@ -456,7 +457,7 @@ def test_golden_exact_output():
 # Recorded like GOLDEN_SHA256.  Paused random-waypoint motion: small arena
 # and fast nodes, so every run has arrivals, pause countdowns and expiries.
 # Re-recorded (was 82f77e2a…742580) with GOLDEN_SHA256, for the same reason,
-# and again (was dc8dfada…c84658) with it when protocol_errors went, and
+# and again (was dc8dfada…c84658) with it when that counter went, and
 # (was 6945ef19…f46a41) when failed hand-offs became "fail" lines.
 GOLDEN_MOBILITY_SHA256 = (
     "c1b84194b460efad1454497af8b7aca16ff2b6f8ef8b45fa15496e63d7abf9c3")

@@ -334,8 +334,8 @@ def test_discovery_and_repair_for_one_destination_stay_apart():
     forwarded = data_packet(0, 9)
     node.on_packet(forwarded, frm=0)
     _, repair_fn, repair_args = engine.timers[1]
-    held = node.pending_data_packets()
-    assert len(held) == 2 and held[0] is own and held[1] is forwarded
+    # packets compare by identity
+    assert node.pending_data_packets() == [own, forwarded]
 
     repair_fn(*repair_args)
     assert engine.data_drops == [(3, forwarded, "repair_failed")]
