@@ -22,7 +22,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .analytics import Protocol, Variant, default_params
-from .packets import CONTROL_KINDS, DATA_SIZE, DataInfo, Packet
+from .packets import DATA_SIZE, DataInfo, Packet
 from .protocols import HELLO_INTERVAL, NODE_CLASSES
 from .topology import (
     Arena,
@@ -94,7 +94,7 @@ class MetricsRecord:
     data_delivered: int = 0
     data_bytes_delivered: int = 0
     delays: list = field(default_factory=list)
-    control_tx: dict = field(default_factory=dict)   # packet kind -> sends
+    control_tx: dict = field(default_factory=dict)   # control kind -> sends
     drops: dict = field(default_factory=dict)        # reason -> count
     discovery_success: int = 0
     discovery_fail: int = 0
@@ -103,7 +103,7 @@ class MetricsRecord:
 
     @property
     def control_total(self) -> int:
-        return sum(self.control_tx.get(kind, 0) for kind in CONTROL_KINDS)
+        return sum(self.control_tx.values())
 
 
 def compute_throughput(metrics: MetricsRecord, duration: float) -> float:
@@ -155,8 +155,9 @@ class Engine:
         me = weakref.proxy(self)
         self.nodes = [self.node_class(i, config.variant, self.params, me)
                       for i in range(config.n_nodes)]
-        # DATA packets handed to the link and not yet delivered, by identity
-        self._data_in_flight: dict[int, Packet] = {}
+        # DATA packets handed to the link and not yet delivered; a packet is
+        # equal only to itself, so the set holds each by identity
+        self._data_in_flight: set[Packet] = set()
         # random-waypoint arrays, built only when nodes move
         self._waypoints = init_waypoints(
             self.graph0.positions, config.arena, config.v_max,
@@ -215,10 +216,18 @@ class Engine:
         # a data packet still held sits in one pending queue or on the link,
         # never in two places, so a plain count counts each once
         held = [pkt for node in self.nodes for pkt in node.pending_data_packets()]
-        held.extend(self._data_in_flight.values())
+        held.extend(self._data_in_flight)
         warmup = self.config.warmup
-        self.metrics.data_inflight_end = sum(pkt.created_at >= warmup
-                                             for pkt in held)
+        metrics = self.metrics
+        metrics.data_inflight_end = sum(pkt.created_at >= warmup for pkt in held)
+        # every measured packet ends delivered or dropped, or is still held
+        dropped = sum(metrics.drops.values())
+        if metrics.data_sent != (metrics.data_delivered + dropped
+                                 + metrics.data_inflight_end):
+            raise RuntimeError(
+                f"packet conservation violated: sent {metrics.data_sent} != "
+                f"delivered {metrics.data_delivered} + dropped {dropped} + "
+                f"in flight {metrics.data_inflight_end}")
 
     # ------------------------------------------------------------ tick events
 
@@ -266,7 +275,7 @@ class Engine:
                     if nb != next_hop:
                         self.schedule_in(delay, self.nodes[nb].on_overhear, pkt)
             if pkt.kind == "DATA":
-                self._data_in_flight[id(pkt)] = pkt
+                self._data_in_flight.add(pkt)
                 self.schedule_in(delay, self._deliver_data, next_hop, pkt, sender)
             else:
                 self.schedule_in(delay, self._deliver, next_hop, pkt, sender)
@@ -283,7 +292,7 @@ class Engine:
         self.nodes[node_id].on_packet(pkt, frm)
 
     def _deliver_data(self, node_id: int, pkt: Packet, frm: int) -> None:
-        del self._data_in_flight[id(pkt)]
+        self._data_in_flight.remove(pkt)
         self._deliver(node_id, pkt, frm)
 
     # ------------------------------------------------------- node-facing hooks

@@ -21,7 +21,6 @@ from .analytics import (
 from .config import ConfigError, ScenarioConfig
 from .engine import (
     Engine,
-    MetricsRecord,
     RunConfig,
     compute_e2ed,
     compute_nrl,
@@ -73,7 +72,6 @@ def run_cell(scenario: ScenarioConfig, protocol: Protocol, variant: Variant,
                                  trace=trace_dir is not None)
     engine = Engine(cfg)
     metrics = engine.run()
-    _check_conservation(metrics)
     if trace_dir is not None:
         name = f"trace_{protocol.value}_{variant.value}_p{pause_time:g}_s{seed}.txt"
         with open(os.path.join(trace_dir, name), "w", encoding="utf-8") as handle:
@@ -93,17 +91,6 @@ def run_cell(scenario: ScenarioConfig, protocol: Protocol, variant: Variant,
         analytic_b_m=b_m,
         sim_rreq_tx=metrics.control_tx.get("RREQ", 0),
     )
-
-
-def _check_conservation(metrics: MetricsRecord) -> None:
-    """Every measured data packet ends delivered, dropped or still in flight."""
-    dropped = sum(metrics.drops.values())
-    if metrics.data_sent != (metrics.data_delivered + dropped
-                             + metrics.data_inflight_end):
-        raise RuntimeError(
-            f"packet conservation violated: sent {metrics.data_sent} != "
-            f"delivered {metrics.data_delivered} + dropped {dropped} + "
-            f"in flight {metrics.data_inflight_end}")
 
 
 def _cell_task(task) -> ResultRow:

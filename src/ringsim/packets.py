@@ -7,7 +7,6 @@ from dataclasses import dataclass
 DATA_SIZE = 512
 CONTROL_SIZE = 64
 
-CONTROL_KINDS = ("RREQ", "RREP", "RERR", "HELLO")
 BROADCAST = -1
 
 

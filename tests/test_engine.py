@@ -19,7 +19,8 @@ from ringsim.engine import (
     compute_throughput,
     format_trace,
 )
-from ringsim.packets import BROADCAST, CONTROL_KINDS, Packet
+from ringsim.packets import BROADCAST, Packet
+from ringsim.protocols import Node
 from ringsim.topology import Arena
 
 
@@ -266,7 +267,7 @@ def test_nrl_matches_trace_recount():
     engine = Engine(cfg)
     metrics = engine.run()
     recount = sum(1 for r in engine.trace
-                  if r[1] == "send" and r[3] in CONTROL_KINDS
+                  if r[1] == "send" and r[3] != "DATA"
                   and r[0] >= cfg.warmup)
     assert recount == metrics.control_total
 
@@ -371,6 +372,25 @@ def test_data_conservation_under_churn():
         accounted = (metrics.data_delivered + sum(metrics.drops.values())
                      + metrics.data_inflight_end)
         assert accounted == metrics.data_sent
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_run_checks_packet_conservation(protocol, monkeypatch):
+    """A bare run whose destination swallows its data raises: the engine
+    checks its own books at the end of every run."""
+    cfg = RunConfig(protocol=protocol, n_nodes=2,
+                    arena=Arena(100.0, 100.0, 250.0), v_max=0.0,
+                    duration=2.0, traffic_pairs=1)
+    assert Engine(cfg).run().data_delivered > 0
+    handle_data = Node._handle_data
+
+    def swallow_at_destination(self, pkt, frm):
+        if self.nid != pkt.dst:
+            handle_data(self, pkt, frm)
+
+    monkeypatch.setattr(Node, "_handle_data", swallow_at_destination)
+    with pytest.raises(RuntimeError, match="packet conservation violated"):
+        Engine(cfg).run()
 
 
 def remove_link(engine, a, b):

@@ -9,7 +9,12 @@ from dataclasses import fields
 import pytest
 
 import ringsim.experiment as experiment
-from ringsim.analytics import Protocol, Variant
+from ringsim.analytics import (
+    Protocol,
+    Variant,
+    default_params,
+    dsr_expected_wait,
+)
 from ringsim.cli import main as cli_main
 from ringsim.config import (
     ConfigError,
@@ -30,7 +35,6 @@ from ringsim.experiment import (
     summarize,
     sweep_cells,
 )
-from ringsim.packets import DataInfo, Packet
 from ringsim.protocols import AodvNode, Node
 from ringsim.topology import Arena
 
@@ -233,38 +237,49 @@ def test_sweep_isolates_cell_failure(monkeypatch):
 
 
 def test_sweep_checks_packet_conservation(monkeypatch):
-    rows = run_sweep(tiny_scenario(protocols=tuple(Protocol), seeds=(1,)))
+    """A cell whose run loses a packet becomes an error row."""
+    scenario = tiny_scenario(protocols=tuple(Protocol), seeds=(1,), v_max=0.0,
+                             radio_range=250.0)
+    rows = run_sweep(scenario)
     assert len(rows) == 6 and all(r.error == "" for r in rows)
+    assert all(r.throughput_bps > 0 for r in rows)
+    handle_data = Node._handle_data
 
-    class LeakyEngine(Engine):
-        def run(self):
-            metrics = super().run()
-            metrics.data_sent += 1   # one packet that never ends anywhere
-            return metrics
+    def swallow_at_destination(self, pkt, frm):
+        # the packet reaches its destination and ends nowhere
+        if self.nid != pkt.dst:
+            handle_data(self, pkt, frm)
 
-    monkeypatch.setattr(experiment, "Engine", LeakyEngine)
-    rows = run_sweep(tiny_scenario(seeds=(1,)))
-    assert len(rows) == 2
+    monkeypatch.setattr(Node, "_handle_data", swallow_at_destination)
+    rows = run_sweep(scenario)
+    assert len(rows) == 6
     assert all("packet conservation violated" in r.error for r in rows)
     assert all(r.throughput_bps is None for r in rows)
 
 
 @pytest.mark.parametrize("ends", [("deliver", "deliver"), ("drop", "drop"),
                                   ("deliver", "drop")], ids="-".join)
-def test_packet_ending_twice_fails_conservation(ends):
-    """A measured packet ends once; a second end is counted, not absorbed."""
-    engine = Engine(RunConfig(n_nodes=2, v_max=0.0, duration=1.0,
-                              traffic_pairs=0))
-    metrics = engine.run()
-    pkt = Packet("DATA", 512, 0, 1, 64, 0.0, DataInfo())
-    metrics.data_sent += 1
-    for end in ends:
-        if end == "deliver":
-            engine.data_delivered(pkt)
-        else:
-            engine.drop_data(0, pkt, "ttl_expired")
+def test_packet_ending_twice_fails_conservation(ends, monkeypatch):
+    """A measured packet ends once; a second end inside the run is counted,
+    not absorbed, and the engine's own check fails the run."""
+    cfg = RunConfig(n_nodes=2, arena=Arena(100.0, 100.0, 250.0), v_max=0.0,
+                    duration=1.0, traffic_pairs=1)
+    assert Engine(cfg).run().data_delivered > 0
+    handle_data = Node._handle_data
+
+    def end_twice(self, pkt, frm):
+        if self.nid != pkt.dst:
+            handle_data(self, pkt, frm)
+            return
+        for end in ends:
+            if end == "deliver":
+                self.engine.data_delivered(pkt)
+            else:
+                self.engine.drop_data(self.nid, pkt, "ttl_expired")
+
+    monkeypatch.setattr(Node, "_handle_data", end_twice)
     with pytest.raises(RuntimeError, match="packet conservation violated"):
-        experiment._check_conservation(metrics)
+        Engine(cfg).run()
 
 
 def test_node_ending_a_packet_twice_fails_the_cell(monkeypatch):
@@ -434,6 +449,18 @@ def test_probe_matches_traced_reference(protocol, variant, seed, p_s):
                                      for _, req_id in opened)
     if p_s == 1.0:
         assert probe.sim_counts == probe.census_counts
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_dsr_ring_opens_match_closed_form_wait(variant):
+    """The probe's DSR ring-open times sit where the paper's doubling wait
+    puts them: ring m opens dsr_expected_wait(m, tau) after the first."""
+    probe = probe_discovery(Protocol.DSR, variant, seed=1)
+    tau = default_params(Protocol.DSR, variant).nonprop_timeout
+    assert len(probe.emit_times) == 4
+    for m in range(1, 4):
+        assert probe.emit_times[m] - probe.emit_times[0] == \
+            pytest.approx(dsr_expected_wait(m, tau), rel=1e-12)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
