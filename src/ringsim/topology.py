@@ -156,17 +156,16 @@ def location_distribution(graph: Graph, source: int,
     """P(i) that a uniformly random destination is first covered by ring i."""
     if graph.n < 2:
         raise ValueError("location distribution needs at least two nodes")
-    dist = hop_distances(graph, source)
-    counts = [0] * len(schedule.rings)
-    for node, d in enumerate(dist):
-        if node == source or d < 0:
-            continue
-        for i, ttl in enumerate(schedule.rings):
-            if d <= ttl:
-                counts[i] += 1
-                break
+    counts = bfs_rings(graph, source)
     total = graph.n - 1
-    return LocationDistribution(p=tuple(c / total for c in counts))
+    p, covered = [], 0
+    # ring TTLs never decrease, so ring i covers what its TTL reaches beyond
+    # the rings before it
+    for ttl in schedule.rings:
+        within = sum(counts[:ttl])
+        p.append((within - covered) / total)
+        covered = within
+    return LocationDistribution(p=tuple(p))
 
 
 @dataclass(eq=False)

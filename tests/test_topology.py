@@ -165,6 +165,33 @@ def test_location_mass_equals_reachable_fraction():
         assert sum(dist.p) == pytest.approx(reachable / (graph.n - 1))
 
 
+def _location_reference(graph, source, schedule):
+    """Plain P(i): each reachable node is counted at the first ring whose TTL
+    covers its hop distance."""
+    counts = [0] * len(schedule.rings)
+    for node, d in enumerate(hop_distances(graph, source)):
+        if node == source or d < 0:
+            continue
+        for i, ttl in enumerate(schedule.rings):
+            if d <= ttl:
+                counts[i] += 1
+                break
+    return tuple(c / (graph.n - 1) for c in counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+       radio=st.floats(40.0, 400.0),
+       rings=st.lists(st.integers(1, 12), min_size=1, max_size=6))
+def test_location_distribution_matches_per_node_reference(seed, n, radio, rings):
+    """The hop-census P(i) equals the per-node classification, bit for bit."""
+    graph = generate_topology(seed, n, Arena(600.0, 600.0, radio))
+    schedule = TtlSchedule(tuple(sorted(rings)))
+    source = seed % n
+    assert location_distribution(graph, source, schedule).p == \
+        _location_reference(graph, source, schedule)
+
+
 # ------------------------------------------------------------------ mobility
 
 def _state(*nodes):
