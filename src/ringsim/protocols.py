@@ -230,27 +230,23 @@ class Node:
         if state is None:
             self.seq += 1
             state = self.pending[dest] = PendingRequest(dest)
-            self._emit_ring(state)
+            self._emit_ring(state, self.rings[0], self._discovery_timeout)
         return state
 
-    def _emit_ring(self, state: PendingRequest) -> None:
-        ttl = self.rings[state.ring_index]
-        state.req_id = self._send_rreq(state.destination, ttl)
-        wait = self.ring_wait(self.params, state.ring_index, ttl)
-        self.engine.schedule_in(wait, self._discovery_timeout,
-                                state.destination, state.req_id)
-
-    def _send_rreq(self, dest: int, ttl: int) -> int:
-        """Flood a request for dest to ttl hops; return its request id."""
-        now = self.engine.now
-        req_id = len(self.rreq_opened)
+    def _emit_ring(self, state: PendingRequest, ttl: int, on_timeout) -> None:
+        """Flood a request for the search's destination to ttl hops as ring
+        ``state.ring_index``, then arm its reply timer, which calls
+        on_timeout(destination, req_id)."""
+        now, dest = self.engine.now, state.destination
+        req_id = state.req_id = len(self.rreq_opened)
         self.rreq_opened.append(now)
         self.seen_requests.add((self.nid, req_id))
         info = RreqInfo(req_id=req_id, ring_ttl=ttl, orig_seq=self.seq,
                         route=self._rreq_route)
         self.engine.send(self.nid, Packet("RREQ", CONTROL_SIZE, self.nid, dest,
                                           ttl, now, info))
-        return req_id
+        wait = self.ring_wait(self.params, state.ring_index, ttl)
+        self.engine.schedule_in(wait, on_timeout, dest, req_id)
 
     def _discovery_timeout(self, dest: int, req_id: int) -> None:
         state = self.pending.get(dest)
@@ -260,7 +256,8 @@ class Node:
         if state.ring_index >= len(self.rings):
             self._finish_discovery(dest, False)
         else:
-            self._emit_ring(state)
+            self._emit_ring(state, self.rings[state.ring_index],
+                            self._discovery_timeout)
 
     def _finish_discovery(self, dest: int, success: bool) -> None:
         state = self.pending.pop(dest, None)
@@ -644,9 +641,7 @@ class AodvNode(HopByHopNode):
             state = self.repairs[dest] = PendingRequest(dest)
             ttl = max(1, self._last_hops.get(dest, 1)) + self.params.local_add_ttl
             self.seq += 1
-            state.req_id = self._send_rreq(dest, ttl)
-            self.engine.schedule_in(self.ring_wait(self.params, 0, ttl),
-                                    self._repair_timeout, dest, state.req_id)
+            self._emit_ring(state, ttl, self._repair_timeout)
         if pkt is not None:
             state.queue.append(pkt)
 
