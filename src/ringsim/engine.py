@@ -155,9 +155,6 @@ class Engine:
         me = weakref.proxy(self)
         self.nodes = [self.node_class(i, config.variant, self.params, me)
                       for i in range(config.n_nodes)]
-        # DATA packets handed to the link and not yet delivered; a packet is
-        # equal only to itself, so the set holds each by identity
-        self._data_in_flight: set[Packet] = set()
         # random-waypoint arrays, built only when nodes move
         self._waypoints = init_waypoints(
             self.graph0.positions, config.arena, config.v_max,
@@ -185,7 +182,7 @@ class Engine:
         if self.node_class.sends_hellos:
             for node in self.nodes:
                 offset = self._rng_proto.uniform(0, HELLO_INTERVAL)
-                self.schedule_in(offset, self._hello_tick, node.nid)
+                self.schedule_in(offset, node.on_hello_tick)
         for _ in range(cfg.traffic_pairs):
             src = self._rng_traffic.randrange(cfg.n_nodes)
             dst = self._rng_traffic.randrange(cfg.n_nodes - 1)
@@ -204,19 +201,24 @@ class Engine:
             for fn, args in buckets[now]:
                 fn(*args)
             del buckets[now]
-        # the callbacks past duration never run, and they hold bound methods
-        # of the engine and its nodes
-        times.clear()
-        buckets.clear()
         self.now = duration
         self._account_in_flight()
         return self.metrics
 
     def _account_in_flight(self) -> None:
         # a data packet still held sits in one pending queue or on the link,
-        # never in two places, so a plain count counts each once
+        # never in both.  On the link it is an argument of a pending delivery
+        # and of its overheard copies; a packet is equal only to itself, so
+        # the set holds it once.
+        on_link = {arg for bucket in self._buckets.values()
+                   for _, args in bucket for arg in args
+                   if isinstance(arg, Packet) and arg.kind == "DATA"}
+        # the callbacks past duration never run, and they hold bound methods
+        # of the engine and its nodes: drop them before the check can raise
+        self._times.clear()
+        self._buckets.clear()
         held = [pkt for node in self.nodes for pkt in node.pending_data_packets()]
-        held.extend(self._data_in_flight)
+        held.extend(on_link)
         warmup = self.config.warmup
         metrics = self.metrics
         metrics.data_inflight_end = sum(pkt.created_at >= warmup for pkt in held)
@@ -238,10 +240,6 @@ class Engine:
         self.neighbor_lists = unit_disk_neighbors(self._waypoints.pos,
                                                   cfg.arena.radio_range)
         self.schedule_in(MOBILITY_TICK, self._mobility_tick)
-
-    def _hello_tick(self, nid: int) -> None:
-        self.nodes[nid].on_hello_tick()
-        self.schedule_in(HELLO_INTERVAL, self._hello_tick, nid)
 
     def _traffic_tick(self, src: int, dst: int, interval: float) -> None:
         pkt = Packet("DATA", self.config.packet_size, src, dst,
@@ -274,11 +272,7 @@ class Engine:
                 for nb in self.neighbor_lists[sender]:
                     if nb != next_hop:
                         self.schedule_in(delay, self.nodes[nb].on_overhear, pkt)
-            if pkt.kind == "DATA":
-                self._data_in_flight.add(pkt)
-                self.schedule_in(delay, self._deliver_data, next_hop, pkt, sender)
-            else:
-                self.schedule_in(delay, self._deliver, next_hop, pkt, sender)
+            self.schedule_in(delay, self._deliver, next_hop, pkt, sender)
         else:
             # a failed hand-off is not a loss: the node salvages, re-queues
             # or drops the packet, and only a drop is traced as one
@@ -290,10 +284,6 @@ class Engine:
         if self.trace is not None:
             self._trace("recv", node_id, pkt, "-")
         self.nodes[node_id].on_packet(pkt, frm)
-
-    def _deliver_data(self, node_id: int, pkt: Packet, frm: int) -> None:
-        self._data_in_flight.remove(pkt)
-        self._deliver(node_id, pkt, frm)
 
     # ------------------------------------------------------- node-facing hooks
 

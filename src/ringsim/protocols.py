@@ -11,9 +11,10 @@ route errors, hellos) and its subclass :class:`AodvNode` (intermediate
 replies, local repair).  Each class names its ``protocol`` and carries that
 family's ring policy (``discovery_rings``, ``ring_wait``) and what the engine
 owes it: ``overhears`` (the unicast kinds whose overheard copies go to
-``_overhear``) and ``sends_hellos`` (arm ``_hello_tick``).  The engine-facing
-``send_data`` and ``on_*`` handlers live on :class:`Node` alone, so wrapping
-them there instruments every family.
+``_overhear``) and ``sends_hellos`` (the engine arms the first
+``on_hello_tick``; ``_hello_tick`` re-arms the next, as a node arms its own
+ring timers).  The engine-facing ``send_data`` and ``on_*`` handlers live on
+:class:`Node` alone, so wrapping them there instruments every family.
 
 There is one clock: nodes read the current time from ``engine.now``; the
 engine passes none.
@@ -136,7 +137,7 @@ class Node:
 
     protocol: Protocol
     overhears: tuple[str, ...] = ()  # unicast kinds the neighbors overhear
-    sends_hellos = False   # the engine arms a hello tick every HELLO_INTERVAL
+    sends_hellos = False   # the engine arms the first hello tick; the node re-arms
     cache: RouteCache | None = None
     _rreq_route: tuple[int, ...] = ()   # path a fresh request starts with
 
@@ -565,6 +566,7 @@ class HopByHopNode(Node):
         for nbr in broken:
             del self.last_heard[nbr]
             self._neighbor_lost(self._drop_routes_via(nbr))
+        self.engine.schedule_in(HELLO_INTERVAL, self.on_hello_tick)
 
     def _valid_route(self, dest: int) -> RouteEntry | None:
         entry = self.routes.get(dest)

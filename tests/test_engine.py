@@ -374,23 +374,116 @@ def test_data_conservation_under_churn():
         assert accounted == metrics.data_sent
 
 
+def two_node_config(protocol=Protocol.AODV):
+    """A 2-node static run whose one flow delivers data."""
+    return RunConfig(protocol=protocol, n_nodes=2,
+                     arena=Arena(100.0, 100.0, 250.0), v_max=0.0,
+                     duration=2.0, traffic_pairs=1)
+
+
+def swallow_data_at_destination(monkeypatch):
+    """Make a destination drop its data unseen: the run's books then do not
+    balance."""
+    handle_data = Node._handle_data
+
+    def swallow(self, pkt, frm):
+        if self.nid != pkt.dst:
+            handle_data(self, pkt, frm)
+
+    monkeypatch.setattr(Node, "_handle_data", swallow)
+
+
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_run_checks_packet_conservation(protocol, monkeypatch):
     """A bare run whose destination swallows its data raises: the engine
     checks its own books at the end of every run."""
-    cfg = RunConfig(protocol=protocol, n_nodes=2,
-                    arena=Arena(100.0, 100.0, 250.0), v_max=0.0,
-                    duration=2.0, traffic_pairs=1)
+    cfg = two_node_config(protocol)
     assert Engine(cfg).run().data_delivered > 0
-    handle_data = Node._handle_data
-
-    def swallow_at_destination(self, pkt, frm):
-        if self.nid != pkt.dst:
-            handle_data(self, pkt, frm)
-
-    monkeypatch.setattr(Node, "_handle_data", swallow_at_destination)
+    swallow_data_at_destination(monkeypatch)
     with pytest.raises(RuntimeError, match="packet conservation violated"):
         Engine(cfg).run()
+
+
+def test_failed_conservation_check_frees_engine(monkeypatch,
+                                                no_cycle_collector):
+    """The check drops the events left past duration before it raises, so
+    an engine whose check failed is freed as soon as its last reference
+    goes."""
+    swallow_data_at_destination(monkeypatch)
+    engine = Engine(two_node_config())
+    # not pytest.raises: its record of the traceback would hold the engine
+    try:
+        engine.run()
+    except RuntimeError as err:
+        message = str(err)
+    else:
+        pytest.fail("the unbalanced run did not raise")
+    assert "packet conservation violated" in message
+    ref = weakref.ref(engine)
+    del engine
+    assert ref() is None
+
+
+def _carries_data(args):
+    return any(isinstance(arg, Packet) and arg.kind == "DATA" for arg in args)
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_lost_delivery_fails_conservation(protocol, monkeypatch):
+    """A data delivery that drops out of the event queue leaves its packet
+    held nowhere, so the run raises: only a pending delivery counts a packet
+    as on the link."""
+    schedule_in = Engine.schedule_in
+    lost = []
+
+    def lose_first_data_event(self, delay, fn, *args):
+        if not lost and _carries_data(args):
+            lost.append(args)
+            return
+        schedule_in(self, delay, fn, *args)
+
+    monkeypatch.setattr(Engine, "schedule_in", lose_first_data_event)
+    with pytest.raises(RuntimeError, match="packet conservation violated"):
+        Engine(two_node_config(protocol)).run()
+    assert lost
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_on_link_count_matches_send_deliver_ledger(protocol, monkeypatch):
+    """Differential: the data the engine finds in its pending deliveries
+    equals a ledger that adds each data unicast handed to the link and
+    removes it when delivered."""
+    send, deliver = Engine.send, Engine._deliver
+    ledger = set()
+
+    def ledger_send(self, sender, pkt, next_hop=None):
+        if pkt.kind == "DATA" and next_hop in self.neighbor_lists[sender]:
+            ledger.add(pkt)
+        send(self, sender, pkt, next_hop)
+
+    def ledger_deliver(self, node_id, pkt, frm):
+        if pkt.kind == "DATA":
+            ledger.remove(pkt)
+        deliver(self, node_id, pkt, frm)
+
+    monkeypatch.setattr(Engine, "send", ledger_send)
+    monkeypatch.setattr(Engine, "_deliver", ledger_deliver)
+    on_link_ends = []
+    for seed in range(1, 7):
+        ledger.clear()
+        cfg = RunConfig(protocol=protocol, n_nodes=20,
+                        arena=Arena(600.0, 600.0, 200.0), v_max=20.0,
+                        duration=10.0, warmup=1.0, traffic_pairs=6,
+                        traffic_rate=8.0, seed=seed)
+        engine = Engine(cfg)
+        metrics = engine.run()
+        queued = [pkt for node in engine.nodes
+                  for pkt in node.pending_data_packets()]
+        assert metrics.data_inflight_end == sum(
+            pkt.created_at >= cfg.warmup for pkt in [*queued, *ledger])
+        on_link_ends.append(len(ledger))
+    if protocol is Protocol.DSR:
+        assert any(on_link_ends), "no DSR run ended with data on the link"
 
 
 def remove_link(engine, a, b):

@@ -11,6 +11,7 @@ from ringsim.analytics import Protocol, Variant, default_params
 from ringsim.engine import Engine, RunConfig
 from ringsim.packets import DataInfo, Packet, RreqInfo, RrepInfo
 from ringsim.protocols import (
+    HELLO_INTERVAL,
     NODE_CLASSES,
     ROUTE_LIFETIME,
     AodvNode,
@@ -522,6 +523,21 @@ def test_hello_keeps_recent_neighbor():
     node.on_hello_tick()
     assert sent_kinds(engine) == ["HELLO"]
     assert 8 in node.last_heard
+
+
+@pytest.mark.parametrize("protocol", [Protocol.AODV, Protocol.DYMO])
+def test_hello_tick_rearms_itself(protocol):
+    """A hello tick leaves one timer, HELLO_INTERVAL out, and firing it
+    sends the next hello: the engine arms only the first tick."""
+    node, engine = make_node(protocol, Variant.ERS1, nid=3)
+    node.on_hello_tick()
+    assert sent_kinds(engine) == ["HELLO"]
+    [(delay, fn, args)] = engine.timers
+    assert delay == HELLO_INTERVAL
+    engine.now = HELLO_INTERVAL
+    fn(*args)
+    assert sent_kinds(engine) == ["HELLO", "HELLO"]
+    assert [t[0] for t in engine.timers] == [HELLO_INTERVAL, HELLO_INTERVAL]
 
 
 def _counted_run(monkeypatch, handler, protocol):
