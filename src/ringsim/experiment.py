@@ -236,16 +236,15 @@ def summarize(rows: list[ResultRow]) -> str:
 
 def emit_report(rows: list[ResultRow], out_dir: str) -> tuple[str, str]:
     """Write results.csv and summary.txt under out_dir; returns their paths."""
-    if not rows:
-        raise ValueError("cannot emit a report for zero rows")
+    # both texts reject zero rows, so build them before making the directory
+    csv_text, summary_text = rows_to_csv_text(rows), summarize(rows)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(rows_to_csv_text(rows))
+        handle.write(csv_text)
     summary_path = os.path.join(out_dir, "summary.txt")
-    text = summarize(rows)
     with open(summary_path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+        handle.write(summary_text)
     return csv_path, summary_path
 
 

@@ -371,8 +371,10 @@ def test_csv_round_trips_real_rows(tmp_path):
 
 
 def test_empty_report_rejected(tmp_path):
+    out_dir = tmp_path / "report"
     with pytest.raises(ValueError):
-        emit_report([], str(tmp_path))
+        emit_report([], str(out_dir))
+    assert not out_dir.exists()
     with pytest.raises(ValueError):
         summarize([])
 
