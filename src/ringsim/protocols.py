@@ -137,7 +137,7 @@ class Node:
 
     protocol: Protocol
     overhears: tuple[str, ...] = ()  # unicast kinds the neighbors overhear
-    sends_hellos = False   # the engine arms the first hello tick; the node re-arms
+    sends_hellos = False   # engine arms the first hello tick, the node the rest
     cache: RouteCache | None = None
     _rreq_route: tuple[int, ...] = ()   # path a fresh request starts with
 

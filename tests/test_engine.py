@@ -424,10 +424,6 @@ def test_failed_conservation_check_frees_engine(monkeypatch,
     assert ref() is None
 
 
-def _carries_data(args):
-    return any(isinstance(arg, Packet) and arg.kind == "DATA" for arg in args)
-
-
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_lost_delivery_fails_conservation(protocol, monkeypatch):
     """A data delivery that drops out of the event queue leaves its packet
@@ -437,7 +433,8 @@ def test_lost_delivery_fails_conservation(protocol, monkeypatch):
     lost = []
 
     def lose_first_data_event(self, delay, fn, *args):
-        if not lost and _carries_data(args):
+        if not lost and any(isinstance(arg, Packet) and arg.kind == "DATA"
+                            for arg in args):
             lost.append(args)
             return
         schedule_in(self, delay, fn, *args)
