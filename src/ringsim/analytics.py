@@ -73,8 +73,6 @@ class ErsParams:
             raise ValueError("ttl_increment must be >= 1")
         if not self.net_diameter or max(self.net_diameter) < self.ttl_threshold:
             raise ValueError("net_diameter must reach at least ttl_threshold")
-        if self.tap_cache_size < 1:
-            raise ValueError("tap_cache_size must be >= 1")
 
 
 @cache
@@ -242,10 +240,7 @@ blind_flood_cost = ring_cost_ttl
 
 def total_search_cost(schedule: TtlSchedule, profile: ConnectivityProfile) -> float:
     """Expected broadcast count of walking every ring of a schedule."""
-    rings = schedule.rings
-    if not rings:
-        raise InvalidScheduleError("schedule must contain at least one ring")
-    return sum(ring_cost_ttl(profile, ttl) for ttl in rings)
+    return sum(ring_cost_ttl(profile, ttl) for ttl in schedule.rings)
 
 
 def expected_locating_time(t_fixed: float, dist: LocationDistribution) -> float:
@@ -303,23 +298,18 @@ def optimal_threshold(profile: ConnectivityProfile, dist: LocationDistribution,
     if max_l < 1:
         raise ValueError("max_l must be >= 1")
     deepest = len(profile.d_f) + 1
-    limit = min(max_l, deepest)
-    prefix = []
-    running = 0.0
-    for ttl in range(1, limit + 1):
-        running += ring_cost_ttl(profile, ttl)
-        prefix.append(running)
     fallback = blind_flood_cost(profile, deepest)
 
+    # running sums over rings 1..l: the cost of walking them, the expected
+    # cost of the searches that succeed within them, and the mass found
+    walked = expected = found = 0.0
     best_l, best_cost = 1, None
-    for l in range(1, limit + 1):
-        found = 0.0
-        cost = 0.0
-        for i in range(1, l + 1):
-            p_i = dist.p[i - 1] if i <= len(dist.p) else 0.0
-            cost += p_i * prefix[i - 1]
-            found += p_i
-        cost += max(0.0, 1.0 - found) * (prefix[l - 1] + fallback)
+    for l in range(1, min(max_l, deepest) + 1):
+        walked += ring_cost_ttl(profile, l)
+        p_l = dist.p[l - 1] if l <= len(dist.p) else 0.0
+        expected += p_l * walked
+        found += p_l
+        cost = expected + max(0.0, 1.0 - found) * (walked + fallback)
         if best_cost is None or cost < best_cost:
             best_l, best_cost = l, cost
 

@@ -7,7 +7,7 @@ import os
 import sys
 
 from .analytics import Protocol, Variant, build_schedule, default_params
-from .config import ConfigError, parse_config
+from .config import parse_config
 from .experiment import analytic_compare, emit_report, run_sweep
 from .protocols import NODE_CLASSES
 
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -207,9 +207,9 @@ class Engine:
 
     def _account_in_flight(self) -> None:
         # a data packet still held sits in one pending queue or on the link,
-        # never in both.  On the link it is an argument of a pending delivery
-        # and of its overheard copies; a packet is equal only to itself, so
-        # the set holds it once.
+        # never in both.  On the link it is an argument of a pending on_packet
+        # event and of its overheard copies; a packet is equal only to itself,
+        # so the set holds it once.
         on_link = {arg for bucket in self._buckets.values()
                    for _, args in bucket for arg in args
                    if isinstance(arg, Packet) and arg.kind == "DATA"}
@@ -259,12 +259,12 @@ class Engine:
                 key = (pkt.src, pkt.info.req_id)
                 self.metrics.rreq_tx[key] = self.metrics.rreq_tx.get(key, 0) + 1
         if self.trace is not None:
-            self._trace("send", sender, pkt, "-" if pkt.kind != "RREQ"
+            self.record("send", sender, pkt, "-" if pkt.kind != "RREQ"
                         else (pkt.info.req_id, pkt.info.ring_ttl))
         delay = pkt.size * 8 / BANDWIDTH + HOP_LATENCY
         if next_hop is None:
             for nb in self.neighbor_lists[sender]:
-                self.schedule_in(delay, self._deliver, nb, pkt, sender)
+                self.schedule_in(delay, self.nodes[nb].on_packet, pkt, sender)
             return
         if next_hop in self.neighbor_lists[sender]:
             if pkt.kind in self.node_class.overhears:
@@ -272,18 +272,13 @@ class Engine:
                 for nb in self.neighbor_lists[sender]:
                     if nb != next_hop:
                         self.schedule_in(delay, self.nodes[nb].on_overhear, pkt)
-            self.schedule_in(delay, self._deliver, next_hop, pkt, sender)
+            self.schedule_in(delay, self.nodes[next_hop].on_packet, pkt, sender)
         else:
             # a failed hand-off is not a loss: the node salvages, re-queues
             # or drops the packet, and only a drop is traced as one
             if self.trace is not None:
-                self._trace("fail", sender, pkt, "link_fail")
+                self.record("fail", sender, pkt, "link_fail")
             self.nodes[sender].on_unicast_fail(pkt, next_hop)
-
-    def _deliver(self, node_id: int, pkt: Packet, frm: int) -> None:
-        if self.trace is not None:
-            self._trace("recv", node_id, pkt, "-")
-        self.nodes[node_id].on_packet(pkt, frm)
 
     # ------------------------------------------------------- node-facing hooks
 
@@ -303,11 +298,7 @@ class Engine:
         if pkt.created_at >= self.config.warmup:
             self.metrics.drops[reason] = self.metrics.drops.get(reason, 0) + 1
         if self.trace is not None:
-            self._trace("drop", node, pkt, reason)
-
-    # nodes call this only when traced: an untraced run makes no call
-    def record_drop(self, node: int, pkt: Packet, reason: str) -> None:
-        self._trace("drop", node, pkt, reason)
+            self.record("drop", node, pkt, reason)
 
     def discovery_finished(self, success: bool) -> None:
         if self.now < self.config.warmup:
@@ -319,7 +310,9 @@ class Engine:
 
     # ------------------------------------------------------------------ trace
 
-    def _trace(self, kind: str, node: int, pkt: Packet, reason) -> None:
+    # the one trace writer; callers check ``trace`` (nodes their ``traced``)
+    # first, so an untraced run makes no call at all
+    def record(self, kind: str, node: int, pkt: Packet, reason) -> None:
         self.trace.append((self.now, kind, node, pkt.kind, pkt.src, pkt.dst,
                            pkt.ttl, reason))
 

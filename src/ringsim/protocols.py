@@ -145,8 +145,8 @@ class Node:
         self.nid = nid
         self.params = params
         self.engine = engine
-        # fixed for the engine's life: the untraced duplicate path then makes
-        # no engine call at all
+        # fixed for the engine's life: an untraced node then makes no trace
+        # call at all, for a reception or for a duplicate
         self.traced = engine.trace is not None
         self.rings = self.discovery_rings(variant)
         self.seq = 0
@@ -163,6 +163,9 @@ class Node:
         self._dispatch_data(pkt)
 
     def on_packet(self, pkt: Packet, frm: int) -> None:
+        """Reception of pkt, broadcast or unicast to this node, from frm."""
+        if self.traced:
+            self.engine.record("recv", self.nid, pkt, "-")
         kind = pkt.kind
         if kind == "RREQ":
             self._handle_rreq(pkt, frm)
@@ -277,7 +280,7 @@ class Node:
         key = (pkt.src, pkt.info.req_id)
         if key in self.seen_requests:
             if self.traced:
-                self.engine.record_drop(self.nid, pkt, "duplicate")
+                self.engine.record("drop", self.nid, pkt, "duplicate")
             return
         self.seen_requests.add(key)
         fwd = self._learn_reverse(pkt, frm)

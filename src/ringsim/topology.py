@@ -111,10 +111,10 @@ def hop_distances(graph: Graph, source: int) -> list[int]:
 def bfs_rings(graph: Graph, source: int) -> tuple[int, ...]:
     """Count nodes at each exact hop distance: entry i holds distance i+1."""
     dist = hop_distances(graph, source)
-    reach = [d for d in dist if d > 0]
-    counts = [0] * (max(reach) if reach else 0)
-    for d in reach:
-        counts[d - 1] += 1
+    counts = [0] * max(dist)
+    for d in dist:
+        if d > 0:
+            counts[d - 1] += 1
     return tuple(counts)
 
 
@@ -129,19 +129,14 @@ def connectivity_profile(graph: Graph, source: int, p_s: float,
     returned entries (0 for an isolated source).
     """
     dist = hop_distances(graph, source)
-    reach = [d for d in dist if d > 0]
-    ecc = max(reach) if reach else 0
-    rings: list[list[int]] = [[] for _ in range(ecc + 1)]
-    for node, d in enumerate(dist):
-        if d >= 0:
-            rings[d].append(node)
-
-    d_f: list[float] = []
-    for j in range(1, ecc + 1):
-        prev = rings[j - 1]
-        nxt = set(rings[j])
-        edges = sum(1 for u in prev for v in graph.neighbors[u] if v in nxt)
-        d_f.append(edges / len(prev))
+    ecc = max(dist)
+    # per hop d < ecc: the nodes at d, and their edges to nodes at d + 1
+    sizes, edges = [0] * ecc, [0] * ecc
+    for u, d in enumerate(dist):
+        if 0 <= d < ecc:
+            sizes[d] += 1
+            edges[d] += sum(dist[v] == d + 1 for v in graph.neighbors[u])
+    d_f = [e / s for e, s in zip(edges, sizes)]
     if horizon is not None:
         if horizon < len(d_f):
             d_f = d_f[:horizon]

@@ -321,27 +321,37 @@ def test_data_drop_lines_match_drop_counters(protocol):
 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 def test_duplicate_requests_reach_engine_only_when_traced(trace, monkeypatch):
-    """An untraced run makes no record_drop call; a traced run makes one per
-    duplicate line of its trace."""
-    calls = []
-    real = Engine.record_drop
+    """An untraced run makes no record call at all.  A traced run writes
+    every trace line through record: one per duplicate line of its trace,
+    and one recv record per on_packet call."""
+    records, receptions = [], []
+    record, on_packet = Engine.record, Node.on_packet
 
-    def spy(self, node, pkt, reason):
-        calls.append(reason)
-        real(self, node, pkt, reason)
+    def record_spy(self, kind, node, pkt, reason):
+        records.append((kind, reason))
+        record(self, kind, node, pkt, reason)
 
-    monkeypatch.setattr(Engine, "record_drop", spy)
+    def on_packet_spy(self, pkt, frm):
+        receptions.append(pkt)
+        on_packet(self, pkt, frm)
+
+    monkeypatch.setattr(Engine, "record", record_spy)
+    monkeypatch.setattr(Node, "on_packet", on_packet_spy)
     cfg = static_config(protocol=Protocol.DYMO, n_nodes=20,
                         arena=Arena(600.0, 600.0, 200.0), traffic_pairs=3,
                         duration=5.0, trace=trace)
     engine = Engine(cfg)
     metrics = engine.run()
     assert metrics.control_tx["RREQ"] > 0
+    assert receptions
     if trace:
         duplicates = [r for r in engine.trace if r[7] == "duplicate"]
-        assert duplicates and calls == ["duplicate"] * len(duplicates)
+        assert duplicates
+        assert records.count(("drop", "duplicate")) == len(duplicates)
+        assert records.count(("recv", "-")) == len(receptions)
+        assert len(records) == len(engine.trace)
     else:
-        assert calls == []
+        assert records == []
 
 
 def test_unicast_to_departed_neighbor_triggers_recovery():
@@ -447,10 +457,10 @@ def test_lost_delivery_fails_conservation(protocol, monkeypatch):
 
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_on_link_count_matches_send_deliver_ledger(protocol, monkeypatch):
-    """Differential: the data the engine finds in its pending deliveries
-    equals a ledger that adds each data unicast handed to the link and
-    removes it when delivered."""
-    send, deliver = Engine.send, Engine._deliver
+    """Differential: the data the engine finds in its pending on_packet
+    events equals a ledger that adds each data unicast handed to the link
+    and removes it when the next hop's on_packet runs."""
+    send, on_packet = Engine.send, Node.on_packet
     ledger = set()
 
     def ledger_send(self, sender, pkt, next_hop=None):
@@ -458,13 +468,13 @@ def test_on_link_count_matches_send_deliver_ledger(protocol, monkeypatch):
             ledger.add(pkt)
         send(self, sender, pkt, next_hop)
 
-    def ledger_deliver(self, node_id, pkt, frm):
+    def ledger_on_packet(self, pkt, frm):
         if pkt.kind == "DATA":
             ledger.remove(pkt)
-        deliver(self, node_id, pkt, frm)
+        on_packet(self, pkt, frm)
 
     monkeypatch.setattr(Engine, "send", ledger_send)
-    monkeypatch.setattr(Engine, "_deliver", ledger_deliver)
+    monkeypatch.setattr(Node, "on_packet", ledger_on_packet)
     on_link_ends = []
     for seed in range(1, 7):
         ledger.clear()

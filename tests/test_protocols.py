@@ -34,7 +34,7 @@ class FakeEngine:
         self.data_drops = []  # (node, packet, reason)
         self.delivered = []
         self.finished = []    # success flags
-        self.other_drops = []
+        self.records = []     # (kind, node, packet, reason)
 
     def send(self, sender, pkt, next_hop=None):
         self.sent.append((sender, pkt, next_hop))
@@ -54,8 +54,8 @@ class FakeEngine:
     def discovery_finished(self, success):
         self.finished.append(success)
 
-    def record_drop(self, node, pkt, reason):
-        self.other_drops.append((node, pkt, reason))
+    def record(self, kind, node, pkt, reason):
+        self.records.append((kind, node, pkt, reason))
 
 
 def sent_kinds(engine):
@@ -232,15 +232,17 @@ def test_stale_repair_timer_leaves_next_repair_alone():
 # -------------------------------------------------------------------- RREQ
 
 def test_duplicate_rreq_dropped():
-    """A duplicate is suppressed either way; only a traced engine hears of it."""
+    """A duplicate is suppressed either way; only a traced engine hears of it,
+    after the record of its reception."""
     for trace in (True, False):
         node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5, trace=trace)
         node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=0)
         engine.now = 0.1
         node.on_packet(rreq_packet(0, 9, req_id=3, ttl=4), frm=2)
         assert sent_kinds(engine) == ["RREQ"]
-        assert [r for _, _, r in engine.other_drops] == (["duplicate"] if trace
-                                                         else [])
+        assert [(k, n, r) for k, n, _, r in engine.records] == (
+            [("recv", 5, "-"), ("recv", 5, "-"), ("drop", 5, "duplicate")]
+            if trace else [])
 
 
 def test_rreq_ttl_gates_rebroadcast():

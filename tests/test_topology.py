@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringsim.analytics import TtlSchedule
+from ringsim.analytics import ConnectivityProfile, TtlSchedule, avg_degree
 from ringsim.topology import (
     Arena,
     WaypointState,
@@ -190,6 +190,49 @@ def test_location_distribution_matches_per_node_reference(seed, n, radio, rings)
     source = seed % n
     assert location_distribution(graph, source, schedule).p == \
         _location_reference(graph, source, schedule)
+
+
+def _rings_reference(graph, source):
+    """Per-ring member lists: entry d holds the nodes at hop distance d."""
+    dist = hop_distances(graph, source)
+    reach = [d for d in dist if d > 0]
+    rings = [[] for _ in range((max(reach) if reach else 0) + 1)]
+    for node, d in enumerate(dist):
+        if d >= 0:
+            rings[d].append(node)
+    return rings
+
+
+def _profile_reference(graph, source, p_s, horizon):
+    """Forwarding degrees counted from the member lists of adjacent rings."""
+    rings = _rings_reference(graph, source)
+    d_f = []
+    for j in range(1, len(rings)):
+        prev, nxt = rings[j - 1], set(rings[j])
+        edges = sum(1 for u in prev for v in graph.neighbors[u] if v in nxt)
+        d_f.append(edges / len(prev))
+    if horizon is not None:
+        d_f = d_f[:horizon] + [0.0] * (horizon - len(d_f))
+    d_avg = avg_degree(d_f, len(d_f)) if d_f else 0.0
+    return ConnectivityProfile(p_s=p_s, d_avg=d_avg, d_f=tuple(d_f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
+       radio=st.floats(1.0, 400.0),
+       horizon=st.none() | st.integers(0, 15))
+@example(seed=3, n=1, radio=100.0, horizon=None)     # a lone node
+@example(seed=3, n=8, radio=1.0, horizon=4)          # isolated source, padded
+@example(seed=7, n=40, radio=150.0, horizon=2)       # truncated
+def test_ring_census_matches_member_list_reference(seed, n, radio, horizon):
+    """bfs_rings and connectivity_profile read rings from hop distances
+    alone; both equal the member-list computation exactly."""
+    graph = generate_topology(seed, n, Arena(600.0, 600.0, radio))
+    source = seed % n
+    rings = _rings_reference(graph, source)
+    assert bfs_rings(graph, source) == tuple(len(r) for r in rings[1:])
+    assert connectivity_profile(graph, source, 0.5, horizon) == \
+        _profile_reference(graph, source, 0.5, horizon)
 
 
 # ------------------------------------------------------------------ mobility
