@@ -148,7 +148,7 @@ class Engine:
         self._rng_proto = random.Random(f"{seed}:proto")
 
         self.graph0: Graph = generate_topology(seed, config.n_nodes, config.arena)
-        self.neighbor_lists = [list(row) for row in self.graph0.neighbors]
+        self.neighbor_lists = self.graph0.neighbors
 
         self.node_class = NODE_CLASSES[config.protocol]
         # a proxy, not self: nodes and engine form no cycle
@@ -159,6 +159,7 @@ class Engine:
         self._waypoints = init_waypoints(
             self.graph0.positions, config.arena, config.v_max,
             self._rng_mobility) if config.v_max > 0 else None
+        self._adjacency = None   # (within, rows) of the last mobility tick
 
     # ------------------------------------------------------------- scheduling
 
@@ -237,8 +238,9 @@ class Engine:
         cfg = self.config
         waypoint_step(self._waypoints, MOBILITY_TICK, cfg.pause_time,
                       cfg.v_max, cfg.arena, self._rng_mobility)
-        self.neighbor_lists = unit_disk_neighbors(self._waypoints.pos,
-                                                  cfg.arena.radio_range)
+        self._adjacency = unit_disk_neighbors(
+            self._waypoints.pos, cfg.arena.radio_range, self._adjacency)
+        self.neighbor_lists = self._adjacency[1]
         self.schedule_in(MOBILITY_TICK, self._mobility_tick)
 
     def _traffic_tick(self, src: int, dst: int, interval: float) -> None:

@@ -80,35 +80,44 @@ class RouteCache(dict):
 
     The cache is an insertion-ordered dict keyed by route (values unused):
     key order is the FIFO order, and ``route in cache`` is a plain dict
-    lookup, cheap enough for callers to skip repeat inserts.  Scans test tuple
-    membership first and index only the routes that hold both nodes; routes
-    never repeat a node, so ``index`` is a node's only position.
+    lookup, cheap enough for callers to skip repeat inserts.  Only a route
+    that holds the owner before its last position can answer the owner's
+    lookups, so those routes are indexed a second time, in the same order,
+    with the owner's position; the others still count toward capacity,
+    eviction and purges.  Routes never repeat a node, so ``index`` is a
+    node's only position.  Change the cache only through ``insert`` and
+    ``purge_link``, which keep the index in step.
     """
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, owner: int):
         super().__init__()
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.max_seen = 0
+        self.owner = owner
+        # route -> the owner's index in it, for routes that can answer lookup
+        self._from_owner: dict[tuple[int, ...], int] = {}
 
     def insert(self, route: tuple[int, ...]) -> None:
         if route in self or len(route) < 2 or len(set(route)) != len(route):
             return
         if len(self) >= self.capacity:
-            del self[next(iter(self))]
+            oldest = next(iter(self))
+            del self[oldest]
+            self._from_owner.pop(oldest, None)
         self[route] = None
-        self.max_seen = max(self.max_seen, len(self))
+        owner = self.owner
+        if owner in route and route[-1] != owner:
+            self._from_owner[route] = route.index(owner)
 
-    def lookup(self, here: int, dest: int) -> tuple[int, ...] | None:
-        """Shortest cached sub-route from here to dest, oldest entry on ties."""
-        best = None
-        for route in self:
-            if here in route and dest in route:
-                i = route.index(here)
+    def lookup(self, dest: int) -> tuple[int, ...] | None:
+        """Shortest cached sub-route from the owner to dest, oldest on ties."""
+        best, best_hops = None, 0
+        for route, i in self._from_owner.items():
+            if dest in route:
                 j = route.index(dest)
-                if i < j and (best is None or j - i + 1 < len(best)):
-                    best = route[i:j + 1]
+                if i < j and (best is None or j - i < best_hops):
+                    best, best_hops = route[i:j + 1], j - i
         return best
 
     def purge_link(self, a: int, b: int) -> int:
@@ -117,6 +126,7 @@ class RouteCache(dict):
                  if a in r and b in r and abs(r.index(a) - r.index(b)) == 1]
         for r in stale:
             del self[r]
+            self._from_owner.pop(r, None)
         return len(stale)
 
 
@@ -304,7 +314,7 @@ class SourceRouteNode(Node):
 
     def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
         super().__init__(nid, variant, params, engine)
-        self.cache = RouteCache(params.tap_cache_size)
+        self.cache = RouteCache(params.tap_cache_size, nid)
         self._rreq_route = (nid,)
         self._grat_sent: dict[tuple[int, int], float] = {}
 
@@ -323,7 +333,7 @@ class SourceRouteNode(Node):
     def _dispatch_data(self, pkt: Packet) -> None:
         info = pkt.info
         if not info.route or info.route[info.pos] != self.nid:
-            route = self.cache.lookup(self.nid, pkt.dst)
+            route = self.cache.lookup(pkt.dst)
             if route is None:
                 self._enqueue_data(pkt)
                 return
@@ -349,7 +359,7 @@ class SourceRouteNode(Node):
         self._send_rrep_source_routed(path, len(path) - 1)
 
     def _reply_en_route(self, pkt: Packet, path: tuple[int, ...]) -> bool:
-        sub = self.cache.lookup(self.nid, pkt.dst)
+        sub = self.cache.lookup(pkt.dst)
         if sub is None:
             return False
         full = path + sub[1:]
@@ -410,7 +420,7 @@ class SourceRouteNode(Node):
             self._dispatch_data(pkt)
             return
         if info.salvage_count < MAX_MAIN_REXMT:
-            alt = self.cache.lookup(self.nid, pkt.dst)
+            alt = self.cache.lookup(pkt.dst)
             if alt is not None:
                 info.salvage_count += 1
                 info.route = alt

@@ -51,34 +51,53 @@ class Graph:
         return len(self.positions)
 
 
-def unit_disk_neighbors(positions: Sequence[tuple[float, float]] | np.ndarray,
-                        radio_range: float) -> list[list[int]]:
-    """Sorted neighbor lists under the unit-disk rule (distance <= range).
+# a boolean unit-disk adjacency matrix and the neighbor rows built from it
+Adjacency = tuple[np.ndarray, list[tuple[int, ...]]]
 
-    An (n, 2) float64 array, such as ``WaypointState.pos``, is read as is.
+
+def unit_disk_neighbors(positions: Sequence[tuple[float, float]] | np.ndarray,
+                        radio_range: float,
+                        prev: Adjacency | None = None) -> Adjacency:
+    """Sorted neighbor rows under the unit-disk rule (distance <= range).
+
+    Returns ``(within, rows)``: the boolean adjacency matrix and one sorted
+    tuple of neighbor ids per node.  Pass an earlier result for the same nodes
+    as ``prev`` and only the rows whose adjacency changed are rebuilt; every
+    other row is the earlier tuple itself.  An (n, 2) float64 array, such as
+    ``WaypointState.pos``, is read as is.
     """
     pts = np.asarray(positions, dtype=float).reshape(len(positions), 2)
     x, y = pts[:, 0], pts[:, 1]
-    dx = x[:, None] - x[None, :]
-    dy = y[:, None] - y[None, :]
-    within = dx * dx + dy * dy <= radio_range * radio_range
+    # dx * dx + dy * dy, computed in place: the same operations, the same bits
+    dist2 = x[:, None] - x
+    dist2 *= dist2
+    dy2 = y[:, None] - y
+    dy2 *= dy2
+    dist2 += dy2
+    within = dist2 <= radio_range * radio_range
     np.fill_diagonal(within, False)
+    if prev is not None:
+        prev_within, rows = prev
+        rows = list(rows)
+        for i in (within != prev_within).any(axis=1).nonzero()[0].tolist():
+            rows[i] = tuple(within[i].nonzero()[0].tolist())
+        return within, rows
     # one nonzero over the whole matrix; its column indices come row-major,
     # so each row's neighbors are a contiguous, already sorted run
-    cols = np.nonzero(within)[1].tolist()
+    cols = tuple(within.nonzero()[1].tolist())
     rows, start = [], 0
     for count in within.sum(axis=1).tolist():
         rows.append(cols[start:start + count])
         start += count
-    return rows
+    return within, rows
 
 
 def graph_from_positions(positions: Sequence[tuple[float, float]],
                          radio_range: float) -> Graph:
-    nbrs = unit_disk_neighbors(positions, radio_range)
+    _, rows = unit_disk_neighbors(positions, radio_range)
     return Graph(
         positions=tuple((float(x), float(y)) for x, y in positions),
-        neighbors=tuple(tuple(row) for row in nbrs),
+        neighbors=tuple(rows),
     )
 
 

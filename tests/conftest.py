@@ -1,9 +1,11 @@
-"""Test-suite settings: property tests draw the same examples on every run;
-the ``no_cycle_collector`` fixture."""
+"""Test-suite settings: property tests draw the same examples on every run
+and report a failing example; the ``no_cycle_collector`` fixture."""
 
+import contextlib
 import gc
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import settings
@@ -19,6 +21,16 @@ os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
 settings.register_profile("ringsim", derandomize=True, deadline=None,
                           database=None)
 settings.load_profile("ringsim")
+
+# When a property test fails, hypothesis' report hook imports this module, and
+# with it libcst, whose import warns (mypy_extensions.TypedDict is
+# deprecated).  Under filterwarnings = error that warning would end the
+# session with INTERNALERROR in place of the falsifying example, so import it
+# once here with that warning off.  Without libcst, hypothesis skips the
+# import itself.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

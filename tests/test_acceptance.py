@@ -32,6 +32,7 @@ from ringsim.engine import (
     compute_throughput,
 )
 from ringsim.experiment import probe_discovery, rows_to_csv_text, run_sweep
+from ringsim.protocols import RouteCache
 from ringsim.topology import Arena, generate_topology, hop_distances
 
 ALL_CELLS = [(p, v) for p in Protocol for v in Variant]
@@ -229,9 +230,21 @@ def _random_run(index):
     return cfg, engine, metrics
 
 
-def test_criterion_property_suites():
+def test_criterion_property_suites(monkeypatch):
+    insert = RouteCache.insert
+    inserts = 0
+
+    def capped_insert(cache, route):
+        nonlocal inserts
+        insert(cache, route)
+        inserts += 1
+        assert len(cache) <= cache.capacity, \
+            f"cache of {len(cache)} routes over its capacity {cache.capacity}"
+
+    monkeypatch.setattr(RouteCache, "insert", capped_insert)
     runs = 100
     for index in range(runs):
+        inserts_before = inserts
         cfg, engine, metrics = _random_run(index)
 
         seen = set()
@@ -251,9 +264,10 @@ def test_criterion_property_suites():
         assert accounted == metrics.data_sent, f"run {index}: leaked packets"
 
         if cfg.protocol is Protocol.DSR:
+            # the spy checked the bound after each insert; it saw this run's
+            assert inserts > inserts_before, f"run {index}: no cache insert"
             cap = engine.params.tap_cache_size
-            for node in engine.nodes:
-                assert node.cache.max_seen <= cap
+            assert all(node.cache.capacity == cap for node in engine.nodes)
 
     _verdict("criterion-7 property suites", True,
              f"{runs} randomized runs: duplicate suppression, TTL bounds, "

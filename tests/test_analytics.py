@@ -73,7 +73,7 @@ def test_params_invariants():
     with pytest.raises(ValueError):
         default_params(Protocol.AODV, Variant.ERS1).__class__(ttl_increment=0)
     with pytest.raises(ValueError):
-        RouteCache(0)
+        RouteCache(0, 0)
 
 
 # --------------------------------------------------------------- avg degree

@@ -20,7 +20,7 @@ from ringsim.engine import (
     format_trace,
 )
 from ringsim.packets import BROADCAST, Packet
-from ringsim.protocols import Node
+from ringsim.protocols import Node, RouteCache
 from ringsim.topology import Arena
 
 
@@ -494,11 +494,12 @@ def test_on_link_count_matches_send_deliver_ledger(protocol, monkeypatch):
 
 
 def remove_link(engine, a, b):
-    """Force a link down by editing the neighbor lists in place; the next
-    mobility recompute would undo it."""
+    """Force a link down by giving both ends new neighbor rows without it;
+    the next mobility recompute would undo it."""
+    rows = list(engine.neighbor_lists)
     for u, v in ((a, b), (b, a)):
-        if v in engine.neighbor_lists[u]:
-            engine.neighbor_lists[u].remove(v)
+        rows[u] = tuple(w for w in rows[u] if w != v)
+    engine.neighbor_lists = rows
 
 
 def test_remove_link_is_symmetric():
@@ -519,7 +520,7 @@ def test_stale_cache_purged_after_mid_run_break():
     engine = Engine(cfg)
     line = [(i * 100.0 + 10.0, 50.0) for i in range(5)]
     from ringsim.topology import unit_disk_neighbors
-    engine.neighbor_lists = unit_disk_neighbors(line, cfg.arena.radio_range)
+    _, engine.neighbor_lists = unit_disk_neighbors(line, cfg.arena.radio_range)
 
     src, dst = engine.nodes[0], 4
 
@@ -536,10 +537,34 @@ def test_stale_cache_purged_after_mid_run_break():
     assert metrics.data_delivered >= 1
     rerrs = [r for r in engine.trace if r[1] == "send" and r[3] == "RERR"]
     assert rerrs, "broken source route must produce a route error"
-    assert engine.nodes[0].cache.lookup(0, 4) is None \
-        or (2, 3) not in zip(engine.nodes[0].cache.lookup(0, 4),
-                             engine.nodes[0].cache.lookup(0, 4)[1:])
+    assert engine.nodes[0].cache.lookup(4) is None \
+        or (2, 3) not in zip(engine.nodes[0].cache.lookup(4),
+                             engine.nodes[0].cache.lookup(4)[1:])
     assert metrics.discovery_success >= 1
+
+
+def test_cache_capacity_holds_while_caches_evict(monkeypatch):
+    """Every insert of every DSR node leaves its cache within capacity, in a
+    mobile run whose small caches fill and evict (the default 256 and 1024
+    routes do not fill in a short run)."""
+    insert = RouteCache.insert
+    filled = set()
+
+    def capped_insert(cache, route):
+        insert(cache, route)
+        assert len(cache) <= cache.capacity
+        if len(cache) == cache.capacity:
+            filled.add(cache.owner)
+
+    monkeypatch.setattr(RouteCache, "insert", capped_insert)
+    cfg = RunConfig(protocol=Protocol.DSR, variant=Variant.ERS2, n_nodes=20,
+                    arena=Arena(600.0, 600.0, 200.0), v_max=20.0,
+                    duration=10.0, traffic_pairs=6, traffic_rate=8.0, seed=1)
+    engine = Engine(cfg)
+    for node in engine.nodes:
+        node.cache = RouteCache(4, node.nid)
+    engine.run()
+    assert len(filled) > cfg.n_nodes // 2
 
 
 # Recorded on CPython 3.11.7 with numpy 2.4.6.  Any change to what a run

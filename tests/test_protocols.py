@@ -364,34 +364,37 @@ def test_repair_timeout_reports_upstream():
 # -------------------------------------------------------------- route cache
 
 def test_cache_fifo_eviction():
-    cache = RouteCache(3)
+    cache = RouteCache(3, 0)
     for route in ((0, 1), (0, 2), (0, 3), (0, 4)):
         cache.insert(route)
+        assert len(cache) <= cache.capacity
     assert len(cache) == 3
-    assert cache.lookup(0, 1) is None
-    assert cache.lookup(0, 4) == (0, 4)
-    assert cache.max_seen == 3
+    assert cache.lookup(1) is None
+    assert cache.lookup(4) == (0, 4)
 
 
 def test_cache_lookup_prefers_short_subroute():
-    cache = RouteCache(10)
-    cache.insert((0, 1, 2, 3, 9))
-    cache.insert((0, 5, 9))
-    assert cache.lookup(0, 9) == (0, 5, 9)
-    assert cache.lookup(1, 9) == (1, 2, 3, 9)
-    assert cache.lookup(9, 0) is None
+    def owned_by(here):
+        cache = RouteCache(10, here)
+        cache.insert((0, 1, 2, 3, 9))
+        cache.insert((0, 5, 9))
+        return cache
+
+    assert owned_by(0).lookup(9) == (0, 5, 9)
+    assert owned_by(1).lookup(9) == (1, 2, 3, 9)
+    assert owned_by(9).lookup(0) is None
 
 
 def test_cache_purge_link():
-    cache = RouteCache(10)
+    cache = RouteCache(10, 0)
     cache.insert((0, 1, 2, 3))
     cache.insert((0, 4, 3))
     assert cache.purge_link(2, 1) == 1
-    assert cache.lookup(0, 3) == (0, 4, 3)
+    assert cache.lookup(3) == (0, 4, 3)
 
 
 def test_cache_rejects_invalid_routes():
-    cache = RouteCache(4)
+    cache = RouteCache(4, 0)
     cache.insert((0,))
     cache.insert((0, 1, 0))
     assert len(cache) == 0
@@ -459,17 +462,17 @@ _CACHE_OPS = st.lists(st.one_of(
     st.tuples(st.just("insert"), st.lists(_NODE, max_size=6)),  # loops too
     st.tuples(st.just("reinsert"), _RECENT),
     st.tuples(st.just("detour"), _RECENT, _SPOT, _NODE),  # equal-length rival
-    st.tuples(st.just("lookup"), _ANY_NODE, _ANY_NODE),
-    st.tuples(st.just("lookup_on"), _RECENT, _SPOT, _SPOT),
+    st.tuples(st.just("lookup"), _ANY_NODE),
+    st.tuples(st.just("lookup_on"), _RECENT, _SPOT),
     st.tuples(st.just("purge_link"), _ANY_NODE, _ANY_NODE),
     st.tuples(st.just("purge_on"), _RECENT, _SPOT, st.booleans()),
 ), max_size=80)
 
 
 @settings(max_examples=300)
-@given(capacity=st.integers(1, 6), ops=_CACHE_OPS)
-def test_cache_matches_scan_reference(capacity, ops):
-    cache, ref = RouteCache(capacity), _ScanRouteCache(capacity)
+@given(capacity=st.integers(1, 6), owner=_NODE, ops=_CACHE_OPS)
+def test_cache_matches_scan_reference(capacity, owner, ops):
+    cache, ref = RouteCache(capacity, owner), _ScanRouteCache(capacity)
     offered = [(0, 1, 2)]  # every route inserted so far, valid or not
 
     def recent(back):
@@ -489,18 +492,21 @@ def test_cache_matches_scan_reference(capacity, ops):
             name, call_args = "insert", (route,)
         elif op in ("lookup", "purge_link"):
             name, call_args = op, args
-        elif op == "lookup_on":  # forward, reversed or here == dest
+        elif op == "lookup_on":  # after, before or at the owner, if held
             route = recent(args[0])
-            name, call_args = "lookup", (route[args[1] % len(route)],
-                                         route[args[2] % len(route)])
+            name, call_args = "lookup", (route[args[1] % len(route)],)
         else:  # a link of a route, in either orientation
             route = recent(args[0])
             i = args[1] % len(route)
             a, b = route[i], route[(i + 1) % len(route)]
             name, call_args = "purge_link", ((a, b) if args[2] else (b, a))
-        assert getattr(cache, name)(*call_args) == getattr(ref, name)(*call_args)
+        if name == "lookup":  # the reference is told whose lookup it is
+            assert cache.lookup(*call_args) == ref.lookup(owner, *call_args)
+        else:
+            assert getattr(cache, name)(*call_args) == \
+                getattr(ref, name)(*call_args)
         assert len(cache) == len(ref)
-        assert cache.max_seen == ref.max_seen
+        assert list(cache) == list(ref._routes)
 
 
 # -------------------------------------------------------------------- hello
@@ -672,7 +678,7 @@ def test_link_purge_on_failure():
     pkt = _dsr_data((0, 1, 2, 3), pos=1)
     engine.now = 1.0
     node.on_unicast_fail(pkt, next_hop=2)
-    assert node.cache.lookup(1, 3) is None
+    assert node.cache.lookup(3) is None
 
 
 def test_gratuitous_reply_shortens_route():
@@ -762,6 +768,6 @@ def test_source_routed_sends_keep_their_route_contract(monkeypatch, variant,
 def test_cache_update_surface():
     node, _ = make_node(Protocol.DSR, Variant.ERS2, nid=1)
     node.cache.insert((1, 2, 3))
-    assert node.cache.lookup(1, 3) == (1, 2, 3)
+    assert node.cache.lookup(3) == (1, 2, 3)
     aodv, _ = make_node(Protocol.AODV, Variant.ERS1, nid=1)
     assert aodv.cache is None

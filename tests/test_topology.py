@@ -458,7 +458,7 @@ def _reference_neighbors(positions, radio_range):
     diff = pts[:, None, :] - pts[None, :, :]
     within = (diff * diff).sum(axis=2) <= radio_range * radio_range
     np.fill_diagonal(within, False)
-    return [np.flatnonzero(row).tolist() for row in within]
+    return [tuple(np.flatnonzero(row).tolist()) for row in within]
 
 
 def test_unit_disk_neighbors_matches_per_row_reference():
@@ -475,10 +475,59 @@ def test_unit_disk_neighbors_matches_per_row_reference():
         layouts.append([(rng.choice((0.0, 125.0, 250.0, 500.0)),
                          rng.choice((0.0, 250.0))) for _ in range(n)])
     for positions in layouts:
-        rows = unit_disk_neighbors(positions, 250.0)
+        within, rows = unit_disk_neighbors(positions, 250.0)
         assert rows == _reference_neighbors(positions, 250.0)
-        assert all(type(row) is list for row in rows)
-        # remove_link in test_engine edits rows in place: no two may share a list
-        assert len({id(row) for row in rows}) == len(rows)
-    assert unit_disk_neighbors([(0.0, 0.0)], 250.0) == [[]]
-    assert unit_disk_neighbors([(0.0, 0.0), (250.0, 0.0)], 250.0) == [[1], [0]]
+        assert all(type(row) is tuple for row in rows)
+        assert rows == [tuple(np.flatnonzero(row).tolist()) for row in within]
+    assert unit_disk_neighbors([(0.0, 0.0)], 250.0)[1] == [()]
+    assert unit_disk_neighbors([(0.0, 0.0), (250.0, 0.0)], 250.0)[1] == \
+        [(1,), (0,)]
+
+
+def _check_reused_rows(positions, radio_range, prev):
+    """Rows built from prev equal a full rebuild; each unchanged row is the
+    earlier tuple itself.  Returns the new (within, rows)."""
+    adjacency = unit_disk_neighbors(positions, radio_range, prev)
+    rows = adjacency[1]
+    assert rows == _reference_neighbors(positions, radio_range)
+    assert rows == unit_disk_neighbors(positions, radio_range)[1]
+    for row, before in zip(rows, prev[1]):
+        if row == before:
+            assert row is before
+    return adjacency
+
+
+def test_reused_rows_at_range_and_coincident():
+    frames = [
+        [(0.0, 0.0), (300.0, 0.0), (7.0, 7.0), (600.0, 0.0)],
+        [(0.0, 0.0), (300.0, 0.0), (7.0, 7.0), (600.0, 0.0)],    # no change
+        [(0.0, 0.0), (250.0, 0.0), (7.0, 7.0), (600.0, 0.0)],    # at range
+        [(0.0, 0.0), (250.0, 0.0), (0.0, 0.0), (500.0, 0.0)],    # coincident
+        [(0.0, 0.0), (250.000001, 0.0), (0.0, 0.0), (500.0, 0.0)],
+        [(9.0, 9.0), (9.0, 9.0), (9.0, 9.0), (9.0, 9.0)],        # one spot
+    ]
+    prev = unit_disk_neighbors(frames[0], 250.0)
+    for positions in frames[1:]:
+        prev = _check_reused_rows(positions, 250.0, prev)
+    again = unit_disk_neighbors(frames[-1], 250.0, prev)[1]
+    assert all(row is old for row, old in zip(again, prev[1]))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 30),
+       pause_time=st.sampled_from([0.0, 0.5, 2.0]),
+       v_max=st.floats(1.0, 30.0), still_every=st.integers(2, 7))
+def test_reused_rows_match_full_rebuild_over_trajectories(
+        seed, n, pause_time, v_max, still_every):
+    """Random waypoint trajectories, one neighbor recompute per 0.1 s tick,
+    and some ticks where nothing moved."""
+    arena = Arena(500.0, 500.0, 150.0)
+    rng = random.Random(seed)
+    positions = [(rng.uniform(0, 500.0), rng.uniform(0, 500.0))
+                 for _ in range(n)]
+    state = init_waypoints(positions, arena, v_max, rng)
+    prev = unit_disk_neighbors(state.pos, arena.radio_range)
+    for tick in range(1, 80):
+        if tick % still_every:
+            waypoint_step(state, 0.1, pause_time, v_max, arena, rng)
+        prev = _check_reused_rows(state.pos, arena.radio_range, prev)
