@@ -462,8 +462,6 @@ _CACHE_OPS = st.lists(st.one_of(
     st.tuples(st.just("insert"), st.lists(_NODE, max_size=6)),  # loops too
     st.tuples(st.just("reinsert"), _RECENT),
     st.tuples(st.just("detour"), _RECENT, _SPOT, _NODE),  # equal-length rival
-    st.tuples(st.just("lookup"), _ANY_NODE),
-    st.tuples(st.just("lookup_on"), _RECENT, _SPOT),
     st.tuples(st.just("purge_link"), _ANY_NODE, _ANY_NODE),
     st.tuples(st.just("purge_on"), _RECENT, _SPOT, st.booleans()),
 ), max_size=80)
@@ -490,23 +488,20 @@ def test_cache_matches_scan_reference(capacity, owner, ops):
                 route = route[:i] + (args[2],) + route[i + 1:]
             offered.append(route)
             name, call_args = "insert", (route,)
-        elif op in ("lookup", "purge_link"):
+        elif op == "purge_link":
             name, call_args = op, args
-        elif op == "lookup_on":  # after, before or at the owner, if held
-            route = recent(args[0])
-            name, call_args = "lookup", (route[args[1] % len(route)],)
         else:  # a link of a route, in either orientation
             route = recent(args[0])
             i = args[1] % len(route)
             a, b = route[i], route[(i + 1) % len(route)]
             name, call_args = "purge_link", ((a, b) if args[2] else (b, a))
-        if name == "lookup":  # the reference is told whose lookup it is
-            assert cache.lookup(*call_args) == ref.lookup(owner, *call_args)
-        else:
-            assert getattr(cache, name)(*call_args) == \
-                getattr(ref, name)(*call_args)
+        assert getattr(cache, name)(*call_args) == getattr(ref, name)(*call_args)
         assert len(cache) == len(ref)
         assert list(cache) == list(ref._routes)
+        # every destination, so a route the index kept or lost shows at once;
+        # the reference is told whose lookups these are
+        for dest in range(-1, 10):
+            assert cache.lookup(dest) == ref.lookup(owner, dest)
 
 
 # -------------------------------------------------------------------- hello
