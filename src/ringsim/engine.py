@@ -29,6 +29,7 @@ from .topology import (
     Graph,
     generate_topology,
     init_waypoints,
+    unit_disk_matrix,
     unit_disk_neighbors,
     waypoint_step,
 )
@@ -155,11 +156,16 @@ class Engine:
         me = weakref.proxy(self)
         self.nodes = [self.node_class(i, config.variant, self.params, me)
                       for i in range(config.n_nodes)]
-        # random-waypoint arrays, built only when nodes move
-        self._waypoints = init_waypoints(
-            self.graph0.positions, config.arena, config.v_max,
-            self._rng_mobility) if config.v_max > 0 else None
-        self._adjacency = None   # (within, rows) of the last mobility tick
+        # random-waypoint arrays and the last tick's (within, rows), built
+        # only when nodes move; numpy is imported only then
+        self._waypoints = self._adjacency = None
+        if config.v_max > 0:
+            self._waypoints = init_waypoints(
+                self.graph0.positions, config.arena, config.v_max,
+                self._rng_mobility)
+            self._adjacency = (unit_disk_matrix(self._waypoints.pos,
+                                                config.arena.radio_range),
+                               self.graph0.neighbors)
 
     # ------------------------------------------------------------- scheduling
 

@@ -7,7 +7,6 @@ import io
 import os
 import statistics
 from dataclasses import dataclass, fields
-from multiprocessing import Pool
 from typing import get_args, get_type_hints
 
 from .analytics import (
@@ -124,6 +123,8 @@ def run_sweep(scenario: ScenarioConfig, parallel: int = 1,
     tasks = [(scenario, p, v, pause, seed, trace_dir)
              for p, v, pause, seed in sweep_cells(scenario)]
     if parallel > 1 and len(tasks) > 1:
+        from multiprocessing import Pool   # imported only by parallel sweeps
+
         # a pool starts all its workers at once: no more than there are cells
         with Pool(processes=min(parallel, len(tasks))) as pool:
             return pool.map(_cell_task, tasks)

@@ -6,9 +6,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .analytics import (
     ConnectivityProfile,
@@ -16,6 +14,12 @@ from .analytics import (
     TtlSchedule,
     avg_degree,
 )
+
+if TYPE_CHECKING:   # numpy is imported inside the mobility functions only
+    import numpy as np
+
+    # a boolean unit-disk adjacency matrix and the neighbor rows it holds
+    Adjacency = tuple[np.ndarray, Sequence[tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -51,54 +55,34 @@ class Graph:
         return len(self.positions)
 
 
-# a boolean unit-disk adjacency matrix and the neighbor rows built from it
-Adjacency = tuple[np.ndarray, list[tuple[int, ...]]]
-
-
-def unit_disk_neighbors(positions: Sequence[tuple[float, float]] | np.ndarray,
-                        radio_range: float,
-                        prev: Adjacency | None = None) -> Adjacency:
-    """Sorted neighbor rows under the unit-disk rule (distance <= range).
-
-    Returns ``(within, rows)``: the boolean adjacency matrix and one sorted
-    tuple of neighbor ids per node.  Pass an earlier result for the same nodes
-    as ``prev`` and only the rows whose adjacency changed are rebuilt; every
-    other row is the earlier tuple itself.  An (n, 2) float64 array, such as
-    ``WaypointState.pos``, is read as is.
-    """
-    pts = np.asarray(positions, dtype=float).reshape(len(positions), 2)
-    x, y = pts[:, 0], pts[:, 1]
-    # dx * dx + dy * dy, computed in place: the same operations, the same bits
-    dist2 = x[:, None] - x
-    dist2 *= dist2
-    dy2 = y[:, None] - y
-    dy2 *= dy2
-    dist2 += dy2
-    within = dist2 <= radio_range * radio_range
-    np.fill_diagonal(within, False)
-    if prev is not None:
-        prev_within, rows = prev
-        rows = list(rows)
-        for i in (within != prev_within).any(axis=1).nonzero()[0].tolist():
-            rows[i] = tuple(within[i].nonzero()[0].tolist())
-        return within, rows
-    # one nonzero over the whole matrix; its column indices come row-major,
-    # so each row's neighbors are a contiguous, already sorted run
-    cols = tuple(within.nonzero()[1].tolist())
-    rows, start = [], 0
-    for count in within.sum(axis=1).tolist():
-        rows.append(cols[start:start + count])
-        start += count
-    return within, rows
-
-
 def graph_from_positions(positions: Sequence[tuple[float, float]],
                          radio_range: float) -> Graph:
-    _, rows = unit_disk_neighbors(positions, radio_range)
-    return Graph(
-        positions=tuple((float(x), float(y)) for x, y in positions),
-        neighbors=tuple(rows),
-    )
+    """Build the unit-disk graph of the given positions in pure Python.
+
+    Nodes i and j are adjacent iff ``dx * dx + dy * dy <= radio_range ** 2``,
+    the same float operations as :func:`unit_disk_matrix`, so the rows are
+    the same bit for bit.
+    """
+    pts = tuple((float(x), float(y)) for x, y in positions)
+    r2 = radio_range * radio_range
+    # a sweep in x order: once dx * dx alone exceeds r2, it does for every
+    # later node too (rounding is monotone), and so does dx * dx + dy * dy
+    by_x = sorted((x, y, i) for i, (x, y) in enumerate(pts))
+    rows = [[] for _ in pts]
+    for a, (xi, yi, i) in enumerate(by_x, 1):
+        row = rows[i]
+        for xj, yj, j in by_x[a:]:
+            dx = xi - xj
+            dx2 = dx * dx
+            if dx2 > r2:
+                break
+            dy = yi - yj
+            if dx2 + dy * dy <= r2:
+                row.append(j)
+                rows[j].append(i)
+    for row in rows:
+        row.sort()
+    return Graph(positions=pts, neighbors=tuple(map(tuple, rows)))
 
 
 def generate_topology(seed: int, n: int, arena: Arena) -> Graph:
@@ -210,6 +194,8 @@ def _draw_speed(v_max: float, rng: random.Random) -> float:
 def init_waypoints(positions: Sequence[tuple[float, float]], arena: Arena,
                    v_max: float, rng: random.Random) -> WaypointState:
     """Start every node moving: a waypoint and a speed drawn per node, in order."""
+    import numpy as np
+
     n = len(positions)
     wp, speed = [], []
     for _ in range(n):
@@ -238,6 +224,8 @@ def waypoint_step(state: WaypointState, dt: float, pause_time: float,
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
+    import numpy as np
+
     pos, wp, speed, pause = state.pos, state.wp, state.speed, state.pause
     delta = wp - pos
     distance = np.fromiter(map(math.hypot, delta[:, 0].tolist(),
@@ -260,3 +248,40 @@ def waypoint_step(state: WaypointState, dt: float, pause_time: float,
     for i in np.flatnonzero(redraw).tolist():
         wp[i] = _draw_waypoint(arena, rng)
         speed[i] = _draw_speed(v_max, rng)
+
+
+def unit_disk_matrix(positions: Sequence[tuple[float, float]] | np.ndarray,
+                     radio_range: float) -> np.ndarray:
+    """The boolean unit-disk adjacency matrix (distance <= range, no self
+    loops).  An (n, 2) float64 array, such as ``WaypointState.pos``, is read
+    as is."""
+    import numpy as np
+
+    pts = np.asarray(positions, dtype=float).reshape(len(positions), 2)
+    x, y = pts[:, 0], pts[:, 1]
+    # dx * dx + dy * dy, computed in place: the same operations, the same bits
+    dist2 = x[:, None] - x
+    dist2 *= dist2
+    dy2 = y[:, None] - y
+    dy2 *= dy2
+    dist2 += dy2
+    within = dist2 <= radio_range * radio_range
+    np.fill_diagonal(within, False)
+    return within
+
+
+def unit_disk_neighbors(positions: Sequence[tuple[float, float]] | np.ndarray,
+                        radio_range: float, prev: Adjacency) -> Adjacency:
+    """Update neighbor rows after the nodes moved.
+
+    ``prev`` is the ``(within, rows)`` of the same nodes before the move: the
+    :func:`unit_disk_matrix` and one sorted tuple of neighbor ids per node.
+    Returns the new pair.  Only the rows whose adjacency changed are rebuilt;
+    every other row is the earlier tuple itself.
+    """
+    within = unit_disk_matrix(positions, radio_range)
+    prev_within, rows = prev
+    rows = list(rows)
+    for i in (within != prev_within).any(axis=1).nonzero()[0].tolist():
+        rows[i] = tuple(within[i].nonzero()[0].tolist())
+    return within, rows

@@ -225,27 +225,37 @@ def _random_run(index):
         traffic_pairs=3, traffic_rate=2.0,
         p_s=rng.choice([1.0, 0.7]),
         seed=index, trace=True)
+    # drawn after the config, which stays as it was: some DSR runs give
+    # every node a cache small enough to fill in a short run
+    cache_size = None
+    if protocol is Protocol.DSR and rng.random() < 0.5:
+        cache_size = rng.randint(2, 8)
     engine = Engine(cfg)
+    if cache_size is not None:
+        for node in engine.nodes:
+            node.cache = RouteCache(cache_size, node.nid)
     metrics = engine.run()
-    return cfg, engine, metrics
+    return cfg, engine, metrics, cache_size
 
 
 def test_criterion_property_suites(monkeypatch):
     insert = RouteCache.insert
-    inserts = 0
+    inserts = full = 0
 
     def capped_insert(cache, route):
-        nonlocal inserts
+        nonlocal inserts, full
         insert(cache, route)
         inserts += 1
         assert len(cache) <= cache.capacity, \
             f"cache of {len(cache)} routes over its capacity {cache.capacity}"
+        full += len(cache) == cache.capacity
 
     monkeypatch.setattr(RouteCache, "insert", capped_insert)
     runs = 100
+    small_runs = filled_runs = 0
     for index in range(runs):
-        inserts_before = inserts
-        cfg, engine, metrics = _random_run(index)
+        inserts_before, full_before = inserts, full
+        cfg, engine, metrics, cache_size = _random_run(index)
 
         seen = set()
         for record in engine.trace:
@@ -266,9 +276,19 @@ def test_criterion_property_suites(monkeypatch):
         if cfg.protocol is Protocol.DSR:
             # the spy checked the bound after each insert; it saw this run's
             assert inserts > inserts_before, f"run {index}: no cache insert"
-            cap = engine.params.tap_cache_size
-            assert all(node.cache.capacity == cap for node in engine.nodes)
+            if cache_size is None:
+                cap = engine.params.tap_cache_size
+                assert all(node.cache.capacity == cap for node in engine.nodes)
+            else:
+                small_runs += 1
+                filled_runs += full > full_before
 
+    # the bound is tested where it binds: most small-cache runs fill a cache
+    # (a sparse run may never learn more routes than its cache holds)
+    assert filled_runs > small_runs // 2, \
+        f"{filled_runs} of {small_runs} small-cache runs filled a cache"
     _verdict("criterion-7 property suites", True,
              f"{runs} randomized runs: duplicate suppression, TTL bounds, "
-             "packet conservation, cache capacity all hold")
+             "packet conservation, cache capacity all hold; "
+             f"{filled_runs} of {small_runs} DSR runs with caches of 2-8 "
+             "routes filled one")

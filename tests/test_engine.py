@@ -519,8 +519,8 @@ def test_stale_cache_purged_after_mid_run_break():
                     seed=1, trace=True)
     engine = Engine(cfg)
     line = [(i * 100.0 + 10.0, 50.0) for i in range(5)]
-    from ringsim.topology import unit_disk_neighbors
-    _, engine.neighbor_lists = unit_disk_neighbors(line, cfg.arena.radio_range)
+    from ringsim.topology import graph_from_positions
+    engine.neighbor_lists = graph_from_positions(line, cfg.arena.radio_range).neighbors
 
     src, dst = engine.nodes[0], 4
 

@@ -1,13 +1,18 @@
 """Config parsing, sweep execution, report emission, analytic comparison."""
 
 import hashlib
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import weakref
 from dataclasses import fields
 
 import pytest
 
+import ringsim
 import ringsim.experiment as experiment
 from ringsim.analytics import (
     Protocol,
@@ -213,7 +218,7 @@ def test_sweep_pool_never_outnumbers_cells(monkeypatch):
         def map(self, fn, tasks):
             return [fn(task) for task in tasks]
 
-    monkeypatch.setattr(experiment, "Pool", InProcessPool)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     rows = run_sweep(tiny_scenario(), parallel=5000)
     assert started == [4]
     assert rows_to_csv_text(rows) == rows_to_csv_text(run_sweep(tiny_scenario()))
@@ -515,6 +520,37 @@ def test_local_repair_records_its_request(monkeypatch):
 def test_analytic_compare_requires_static():
     with pytest.raises(ConfigError, match="static"):
         analytic_compare(ScenarioConfig(v_max=10.0))
+
+
+def test_static_runs_load_neither_numpy_nor_multiprocessing():
+    """Only moving nodes need numpy, and only a parallel sweep needs
+    multiprocessing; a fresh interpreter shows what each run loads."""
+    script = textwrap.dedent("""
+        import sys
+        import ringsim.cli
+        from ringsim.analytics import Protocol, Variant
+        from ringsim.config import ScenarioConfig
+        from ringsim.engine import Engine, RunConfig
+        from ringsim.experiment import analytic_compare, probe_discovery
+        from ringsim.topology import Arena
+
+        def loaded():
+            return sorted({"numpy", "multiprocessing"} & set(sys.modules))
+
+        probe_discovery(Protocol.DYMO, Variant.ERS2, 1, n_nodes=20)
+        analytic_compare(ScenarioConfig(nodes=20, v_max=0.0, seeds=(1,),
+                                        duration=30.0, warmup=0.0))
+        print(loaded())
+        Engine(RunConfig(protocol=Protocol.AODV, variant=Variant.ERS1,
+                         n_nodes=10, arena=Arena(500.0, 500.0, 200.0),
+                         v_max=10.0, duration=2.0, seed=1)).run()
+        print(loaded())
+    """)
+    src = os.path.dirname(os.path.dirname(ringsim.__file__))
+    done = subprocess.run([sys.executable, "-c", script], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines() == ["[]", "['numpy']"]
 
 
 # ----------------------------------------------------------------------- CLI

@@ -20,6 +20,7 @@ from ringsim.topology import (
     hop_distances,
     init_waypoints,
     location_distribution,
+    unit_disk_matrix,
     unit_disk_neighbors,
     waypoint_step,
 )
@@ -52,6 +53,9 @@ def test_unit_disk_rule():
     assert border.neighbors == ((1,), (0,))
     far = graph_from_positions([(0.0, 0.0), (15.0, 0.0)], 10.0)
     assert far.neighbors == ((), ())
+    assert graph_from_positions([(0.0, 0.0)], 250.0).neighbors == ((),)
+    assert graph_from_positions([(0.0, 0.0), (250.0, 0.0)], 250.0).neighbors \
+        == ((1,), (0,))
 
 
 def test_adjacency_symmetric_random():
@@ -461,37 +465,42 @@ def _reference_neighbors(positions, radio_range):
     return [tuple(np.flatnonzero(row).tolist()) for row in within]
 
 
-def test_unit_disk_neighbors_matches_per_row_reference():
-    rng = random.Random(9)
-    layouts = [
-        [(0.0, 0.0)],
-        [(0.0, 0.0), (250.0, 0.0)],                 # exactly at range
-        [(0.0, 0.0), (250.0, 0.0), (250.000001, 0.0), (0.0, 250.0)],
-        [(7.0, 7.0), (7.0, 7.0), (7.0, 7.0), (900.0, 900.0)],  # coincident
-    ]
-    for n in (2, 3, 10, 50):
-        layouts.append([(rng.uniform(0, 1000), rng.uniform(0, 1000))
-                        for _ in range(n)])
-        layouts.append([(rng.choice((0.0, 125.0, 250.0, 500.0)),
-                         rng.choice((0.0, 250.0))) for _ in range(n)])
-    for positions in layouts:
-        within, rows = unit_disk_neighbors(positions, 250.0)
-        assert rows == _reference_neighbors(positions, 250.0)
-        assert all(type(row) is tuple for row in rows)
-        assert rows == [tuple(np.flatnonzero(row).tolist()) for row in within]
-    assert unit_disk_neighbors([(0.0, 0.0)], 250.0)[1] == [()]
-    assert unit_disk_neighbors([(0.0, 0.0), (250.0, 0.0)], 250.0)[1] == \
-        [(1,), (0,)]
+def _full_build(positions, radio_range):
+    """The pure-Python rows and the unit-disk matrix, the pair a mobile engine
+    starts from; both must equal the per-row reference.  Returns the pair."""
+    rows = graph_from_positions(positions, radio_range).neighbors
+    within = unit_disk_matrix(positions, radio_range)
+    assert list(rows) == _reference_neighbors(positions, radio_range)
+    assert all(type(row) is tuple for row in rows)
+    assert list(rows) == [tuple(np.flatnonzero(row).tolist()) for row in within]
+    return within, rows
+
+
+# coordinates with exact ties at the 250 m range among the random ones
+_COORD = st.floats(0.0, 1000.0) | st.sampled_from([0.0, 125.0, 250.0, 500.0])
+
+
+@settings(max_examples=300)
+@given(positions=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=50),
+       radio_range=st.just(250.0) | st.floats(1.0, 400.0))
+@example(positions=[(0.0, 0.0)], radio_range=250.0)                # lone node
+@example(positions=[(0.0, 0.0), (250.0, 0.0)], radio_range=250.0)  # at range
+@example(positions=[(0.0, 0.0), (250.0, 0.0), (250.000001, 0.0), (0.0, 250.0)],
+         radio_range=250.0)                                        # 1 um past
+@example(positions=[(7.0, 7.0), (7.0, 7.0), (7.0, 7.0), (900.0, 900.0)],
+         radio_range=250.0)                                        # coincident
+def test_graph_from_positions_matches_per_row_reference(positions, radio_range):
+    _full_build(positions, radio_range)
 
 
 def _check_reused_rows(positions, radio_range, prev):
     """Rows built from prev equal a full rebuild; each unchanged row is the
     earlier tuple itself.  Returns the new (within, rows)."""
     adjacency = unit_disk_neighbors(positions, radio_range, prev)
-    rows = adjacency[1]
-    assert rows == _reference_neighbors(positions, radio_range)
-    assert rows == unit_disk_neighbors(positions, radio_range)[1]
-    for row, before in zip(rows, prev[1]):
+    within, rows = _full_build(positions, radio_range)
+    assert (adjacency[0] == within).all()
+    assert tuple(adjacency[1]) == rows
+    for row, before in zip(adjacency[1], prev[1]):
         if row == before:
             assert row is before
     return adjacency
@@ -506,7 +515,7 @@ def test_reused_rows_at_range_and_coincident():
         [(0.0, 0.0), (250.000001, 0.0), (0.0, 0.0), (500.0, 0.0)],
         [(9.0, 9.0), (9.0, 9.0), (9.0, 9.0), (9.0, 9.0)],        # one spot
     ]
-    prev = unit_disk_neighbors(frames[0], 250.0)
+    prev = _full_build(frames[0], 250.0)
     for positions in frames[1:]:
         prev = _check_reused_rows(positions, 250.0, prev)
     again = unit_disk_neighbors(frames[-1], 250.0, prev)[1]
@@ -526,7 +535,7 @@ def test_reused_rows_match_full_rebuild_over_trajectories(
     positions = [(rng.uniform(0, 500.0), rng.uniform(0, 500.0))
                  for _ in range(n)]
     state = init_waypoints(positions, arena, v_max, rng)
-    prev = unit_disk_neighbors(state.pos, arena.radio_range)
+    prev = _full_build(state.pos, arena.radio_range)
     for tick in range(1, 80):
         if tick % still_every:
             waypoint_step(state, 0.1, pause_time, v_max, arena, rng)
