@@ -57,13 +57,16 @@ class Graph:
 
 def graph_from_positions(positions: Sequence[tuple[float, float]],
                          radio_range: float) -> Graph:
-    """Build the unit-disk graph of the given positions in pure Python.
+    """Build the unit-disk graph of the given (finite) positions in pure Python.
 
     Nodes i and j are adjacent iff ``dx * dx + dy * dy <= radio_range ** 2``,
     the same float operations as :func:`unit_disk_matrix`, so the rows are
     the same bit for bit.
     """
     pts = tuple((float(x), float(y)) for x, y in positions)
+    # a nan would leave the x order below unsorted
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise ValueError("node positions must be finite")
     r2 = radio_range * radio_range
     # a sweep in x order: once dx * dx alone exceeds r2, it does for every
     # later node too (rounding is monotone), and so does dx * dx + dy * dy

@@ -56,6 +56,9 @@ def test_unit_disk_rule():
     assert graph_from_positions([(0.0, 0.0)], 250.0).neighbors == ((),)
     assert graph_from_positions([(0.0, 0.0), (250.0, 0.0)], 250.0).neighbors \
         == ((1,), (0,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            graph_from_positions([(300.0, 0.0), (bad, 0.0), (0.0, 0.0)], 250.0)
 
 
 def test_adjacency_symmetric_random():
