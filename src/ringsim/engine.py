@@ -29,7 +29,7 @@ from .topology import (
     Graph,
     generate_topology,
     init_waypoints,
-    unit_disk_matrix,
+    track_neighbors,
     unit_disk_neighbors,
     waypoint_step,
 )
@@ -156,16 +156,15 @@ class Engine:
         me = weakref.proxy(self)
         self.nodes = [self.node_class(i, config.variant, self.params, me)
                       for i in range(config.n_nodes)]
-        # random-waypoint arrays and the last tick's (within, rows), built
-        # only when nodes move; numpy is imported only then
-        self._waypoints = self._adjacency = None
+        # random-waypoint state and the neighbor tracker, only when nodes move
+        self._waypoints = self._neighbors = None
         if config.v_max > 0:
             self._waypoints = init_waypoints(
                 self.graph0.positions, config.arena, config.v_max,
                 self._rng_mobility)
-            self._adjacency = (unit_disk_matrix(self._waypoints.pos,
-                                                config.arena.radio_range),
-                               self.graph0.neighbors)
+            self._neighbors = track_neighbors(
+                self._waypoints, self.graph0.neighbors,
+                config.arena.radio_range, MOBILITY_TICK)
 
     # ------------------------------------------------------------- scheduling
 
@@ -242,11 +241,10 @@ class Engine:
 
     def _mobility_tick(self) -> None:
         cfg = self.config
-        waypoint_step(self._waypoints, MOBILITY_TICK, cfg.pause_time,
-                      cfg.v_max, cfg.arena, self._rng_mobility)
-        self._adjacency = unit_disk_neighbors(
-            self._waypoints.pos, cfg.arena.radio_range, self._adjacency)
-        self.neighbor_lists = self._adjacency[1]
+        redrawn = waypoint_step(self._waypoints, MOBILITY_TICK, cfg.pause_time,
+                                cfg.v_max, cfg.arena, self._rng_mobility)
+        self.neighbor_lists = unit_disk_neighbors(self._neighbors,
+                                                  self._waypoints, redrawn)
         self.schedule_in(MOBILITY_TICK, self._mobility_tick)
 
     def _traffic_tick(self, src: int, dst: int, interval: float) -> None:

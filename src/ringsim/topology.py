@@ -6,7 +6,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .analytics import (
     ConnectivityProfile,
@@ -14,12 +14,6 @@ from .analytics import (
     TtlSchedule,
     avg_degree,
 )
-
-if TYPE_CHECKING:   # numpy is imported inside the mobility functions only
-    import numpy as np
-
-    # a boolean unit-disk adjacency matrix and the neighbor rows it holds
-    Adjacency = tuple[np.ndarray, Sequence[tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -60,8 +54,8 @@ def graph_from_positions(positions: Sequence[tuple[float, float]],
     """Build the unit-disk graph of the given (finite) positions in pure Python.
 
     Nodes i and j are adjacent iff ``dx * dx + dy * dy <= radio_range ** 2``,
-    the same float operations as :func:`unit_disk_matrix`, so the rows are
-    the same bit for bit.
+    the same float operations as :func:`unit_disk_neighbors`, so the rows
+    are the same bit for bit.
     """
     pts = tuple((float(x), float(y)) for x, y in positions)
     # a nan would leave the x order below unsorted
@@ -171,17 +165,19 @@ def location_distribution(graph: Graph, source: int,
 
 @dataclass(eq=False)
 class WaypointState:
-    """Random-waypoint state of every node, one array row or entry per node.
+    """Random-waypoint state of every node, one list entry per node.
 
-    ``pos`` and ``wp`` are (n, 2) float64 positions and waypoints, ``speed``
-    and ``pause`` (seconds of pause left) are float64 vectors.  The arrays are
-    updated in place.
+    ``x`` and ``y`` are positions, ``wx`` and ``wy`` waypoints, ``speed`` is
+    in m/s and ``pause`` is the seconds of pause left, all Python floats.
+    The lists are updated in place.
     """
 
-    pos: np.ndarray
-    wp: np.ndarray
-    speed: np.ndarray
-    pause: np.ndarray
+    x: list[float]
+    y: list[float]
+    wx: list[float]
+    wy: list[float]
+    speed: list[float]
+    pause: list[float]
 
 
 def _draw_waypoint(arena: Arena, rng: random.Random) -> tuple[float, float]:
@@ -197,94 +193,175 @@ def _draw_speed(v_max: float, rng: random.Random) -> float:
 def init_waypoints(positions: Sequence[tuple[float, float]], arena: Arena,
                    v_max: float, rng: random.Random) -> WaypointState:
     """Start every node moving: a waypoint and a speed drawn per node, in order."""
-    import numpy as np
-
-    n = len(positions)
-    wp, speed = [], []
-    for _ in range(n):
-        wp.append(_draw_waypoint(arena, rng))
+    wx, wy, speed = [], [], []
+    for _ in positions:
+        x, y = _draw_waypoint(arena, rng)
+        wx.append(x)
+        wy.append(y)
         speed.append(_draw_speed(v_max, rng))
-    return WaypointState(pos=np.array(positions, dtype=float).reshape(n, 2),
-                         wp=np.array(wp, dtype=float).reshape(n, 2),
-                         speed=np.array(speed, dtype=float),
-                         pause=np.zeros(n))
+    return WaypointState(x=[float(x) for x, _ in positions],
+                         y=[float(y) for _, y in positions],
+                         wx=wx, wy=wy, speed=speed,
+                         pause=[0.0] * len(positions))
 
 
 def waypoint_step(state: WaypointState, dt: float, pause_time: float,
-                  v_max: float, arena: Arena, rng: random.Random) -> None:
+                  v_max: float, arena: Arena, rng: random.Random) -> list[int]:
     """Advance every node by dt seconds of random-waypoint motion, in place.
 
     Paused nodes burn pause time; on expiry they draw a fresh waypoint and
     speed.  Moving nodes travel straight at their speed and stop at the
     waypoint, picking up pause_time there (or a new waypoint immediately when
-    pause_time is zero).
+    pause_time is zero).  So no node moves farther than ``speed * dt``.
 
-    Each node gets the same bits as stepping it alone in Python floats:
-    distances come from ``math.hypot`` (``np.hypot`` and a square root of
-    squares round differently), ``x + dx * frac`` is a separate multiply and
-    add, and nodes that need a new waypoint and speed draw them after the
-    arithmetic, in ascending index order.
+    Distances come from ``math.hypot``, and ``x + dx * frac`` is a separate
+    multiply and add.  Nodes that need a new waypoint and speed draw them
+    after every node has moved, in ascending index order.  Returns the ids
+    of those nodes, ascending.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    import numpy as np
-
-    pos, wp, speed, pause = state.pos, state.wp, state.speed, state.pause
-    delta = wp - pos
-    distance = np.fromiter(map(math.hypot, delta[:, 0].tolist(),
-                               delta[:, 1].tolist()), float, len(speed))
-    step = speed * dt
-    paused = pause > 0
-    arrived = ~paused & (distance <= step)
-    moving = ~(paused | arrived)   # distance > step >= 0, so no zero divide
-    frac = np.divide(step, distance, out=np.zeros_like(step), where=moving)
-    np.add(pos, delta * frac[:, None], out=pos, where=moving[:, None])
-    np.copyto(pos, wp, where=arrived[:, None])
-
-    np.subtract(pause, dt, out=pause, where=paused)
-    redraw = paused & (pause <= 0)
-    if pause_time > 0:
-        pause[arrived] = pause_time
-    else:
-        redraw |= arrived
-    pause[redraw] = 0.0
-    for i in np.flatnonzero(redraw).tolist():
-        wp[i] = _draw_waypoint(arena, rng)
+    x, y, wx, wy = state.x, state.y, state.wx, state.wy
+    speed, pause = state.speed, state.pause
+    hypot = math.hypot
+    redrawn = []
+    for i, left in enumerate(pause):
+        if left > 0:
+            left -= dt
+            if left > 0:
+                pause[i] = left
+            else:
+                redrawn.append(i)
+            continue
+        xi, yi = x[i], y[i]
+        dx, dy = wx[i] - xi, wy[i] - yi
+        distance = hypot(dx, dy)
+        step = speed[i] * dt
+        if distance <= step:
+            x[i], y[i] = wx[i], wy[i]
+            if pause_time > 0:
+                pause[i] = pause_time
+            else:
+                redrawn.append(i)
+        else:
+            frac = step / distance
+            x[i] = xi + dx * frac
+            y[i] = yi + dy * frac
+    for i in redrawn:
+        pause[i] = 0.0
+        wx[i], wy[i] = _draw_waypoint(arena, rng)
         speed[i] = _draw_speed(v_max, rng)
+    return redrawn
 
 
-def unit_disk_matrix(positions: Sequence[tuple[float, float]] | np.ndarray,
-                     radio_range: float) -> np.ndarray:
-    """The boolean unit-disk adjacency matrix (distance <= range, no self
-    loops).  An (n, 2) float64 array, such as ``WaypointState.pos``, is read
-    as is."""
-    import numpy as np
-
-    pts = np.asarray(positions, dtype=float).reshape(len(positions), 2)
-    x, y = pts[:, 0], pts[:, 1]
-    # dx * dx + dy * dy, computed in place: the same operations, the same bits
-    dist2 = x[:, None] - x
-    dist2 *= dist2
-    dy2 = y[:, None] - y
-    dy2 *= dy2
-    dist2 += dy2
-    within = dist2 <= radio_range * radio_range
-    np.fill_diagonal(within, False)
-    return within
+# Metres per tick that a pair's re-test schedule allows beyond the two
+# nodes' steps, for rounding: in each moved coordinate, in each step's
+# length and in the distance a re-test computes.  Each of these is a few
+# parts in 1e16 of the largest coordinate, so this covers coordinates of
+# up to about 1e8 m.
+_ROUNDING_PER_TICK = 1e-6
 
 
-def unit_disk_neighbors(positions: Sequence[tuple[float, float]] | np.ndarray,
-                        radio_range: float, prev: Adjacency) -> Adjacency:
-    """Update neighbor rows after the nodes moved.
+@dataclass(eq=False)
+class NeighborTracker:
+    """Unit-disk neighbor rows of moving nodes, kept by a kinetic schedule.
 
-    ``prev`` is the ``(within, rows)`` of the same nodes before the move: the
-    :func:`unit_disk_matrix` and one sorted tuple of neighbor ids per node.
-    Returns the new pair.  Only the rows whose adjacency changed are rebuilt;
-    every other row is the earlier tuple itself.
+    A pair of nodes at distance d can change its link only once the two
+    have moved |d - r| between them, and a node moves at most
+    ``speed * dt`` per tick.  So each re-test of a pair also schedules the
+    next one, at the first tick by which the two, at their current speeds,
+    could have covered |d - r|.  A node that draws a new speed has all its
+    pairs re-tested at once.  Build one with :func:`track_neighbors` and
+    advance it with :func:`unit_disk_neighbors`.
+
+    Pair ``i * n + j`` (i < j) names nodes i and j.
     """
-    within = unit_disk_matrix(positions, radio_range)
-    prev_within, rows = prev
-    rows = list(rows)
-    for i in (within != prev_within).any(axis=1).nonzero()[0].tolist():
-        rows[i] = tuple(within[i].nonzero()[0].tolist())
-    return within, rows
+
+    radio_range: float
+    dt: float
+    rows: list[tuple[int, ...]]    # sorted neighbor ids of each node
+    links: list[set[int]]          # the same adjacency, as sets
+    reach: list[float]             # node -> speed * dt + half the rounding allowance
+    when: list[int]                # pair -> tick of its next re-test
+    due: dict[int, list[int]]      # tick -> pairs to re-test then, if ``when`` agrees
+    ends: tuple[list[int], list[int]]   # pair -> i, and pair -> j
+    tick: int = 0
+
+
+def track_neighbors(state: WaypointState, rows: Sequence[tuple[int, ...]],
+                    radio_range: float, dt: float) -> NeighborTracker:
+    """Start tracking the unit-disk rows of the nodes at ``state``'s positions.
+
+    ``rows`` are those nodes' rows now, as :func:`graph_from_positions`
+    builds them; each is kept as the same object until it changes.  ``dt``
+    is the step of every :func:`waypoint_step` to come.  Every pair is
+    first re-tested at tick 1, which schedules its next re-test.
+    """
+    n = len(rows)
+    half = _ROUNDING_PER_TICK / 2
+    return NeighborTracker(
+        radio_range=radio_range, dt=dt, rows=list(rows),
+        links=[set(row) for row in rows],
+        reach=[speed * dt + half for speed in state.speed],
+        when=[1] * (n * n),
+        due={1: [i * n + j for i in range(n) for j in range(i + 1, n)]},
+        ends=([p // n for p in range(n * n)], [p % n for p in range(n * n)]))
+
+
+def unit_disk_neighbors(tracker: NeighborTracker, state: WaypointState,
+                        redrawn: Sequence[int]) -> list[tuple[int, ...]]:
+    """Update the neighbor rows after one :func:`waypoint_step` of the nodes.
+
+    ``redrawn`` are the ids the step returned.  Re-tests the pairs due at
+    this tick and every pair of a redrawn node with ``dx * dx + dy * dy <=
+    r * r``, the test of :func:`graph_from_positions`, and schedules each
+    one's next re-test.  Returns the rows: those whose adjacency changed are
+    new sorted tuples; every other row is the earlier tuple itself.  The
+    list is new when any row changed.
+    """
+    t = tracker.tick = tracker.tick + 1
+    n, x, y, reach = len(tracker.rows), state.x, state.y, tracker.reach
+    when, due, links = tracker.when, tracker.due, tracker.links
+    first, second = tracker.ends
+    pairs = due.pop(t, [])
+    for i in redrawn:
+        reach[i] = state.speed[i] * tracker.dt + _ROUNDING_PER_TICK / 2
+        for pair in (*range(i, n * i, n), *range(i * n + i + 1, i * n + n)):
+            if when[pair] != t:
+                when[pair] = t
+                pairs.append(pair)
+    r = tracker.radio_range
+    r2 = r * r
+    sqrt = math.sqrt
+    changed = set()
+    for pair in pairs:
+        if when[pair] != t:
+            continue   # rescheduled when a node of the pair drew a new speed
+        i = first[pair]
+        j = second[pair]
+        dx = x[i] - x[j]
+        dy = y[i] - y[j]
+        d2 = dx * dx + dy * dy
+        linked = d2 <= r2
+        if linked != (j in links[i]):
+            if linked:
+                links[i].add(j)
+                links[j].add(i)
+            else:
+                links[i].remove(j)
+                links[j].remove(i)
+            changed.add(i)
+            changed.add(j)
+        # the first tick by which the pair could have closed |d - r|: a
+        # change k ticks on needs k * (reach[i] + reach[j]) > |d - r|
+        at = when[pair] = t + 1 + int(abs(sqrt(d2) - r) / (reach[i] + reach[j]))
+        bucket = due.get(at)
+        if bucket is None:
+            due[at] = [pair]
+        else:
+            bucket.append(pair)
+    if changed:
+        rows = tracker.rows = list(tracker.rows)
+        for i in changed:
+            rows[i] = tuple(sorted(links[i]))
+    return tracker.rows

@@ -567,7 +567,7 @@ def test_cache_capacity_holds_while_caches_evict(monkeypatch):
     assert len(filled) > cfg.n_nodes // 2
 
 
-# Recorded on CPython 3.11.7 with numpy 2.4.6.  Any change to what a run
+# Recorded on CPython 3.11.7.  Any change to what a run
 # sends, drops, delivers or counts moves this hash; a refactor must not.
 # Re-recorded (was 613f7cf0…607f41) when data-drop trace lines began naming
 # the node that dropped the packet instead of its destination; only the node

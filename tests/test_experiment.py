@@ -522,8 +522,8 @@ def test_analytic_compare_requires_static():
         analytic_compare(ScenarioConfig(v_max=10.0))
 
 
-def test_static_runs_load_neither_numpy_nor_multiprocessing():
-    """Only moving nodes need numpy, and only a parallel sweep needs
+def test_runs_load_neither_numpy_nor_multiprocessing():
+    """No run needs numpy, static or mobile, and only a parallel sweep needs
     multiprocessing; a fresh interpreter shows what each run loads."""
     script = textwrap.dedent("""
         import sys
@@ -550,7 +550,7 @@ def test_static_runs_load_neither_numpy_nor_multiprocessing():
     done = subprocess.run([sys.executable, "-c", script], check=True,
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.splitlines() == ["[]", "['numpy']"]
+    assert done.stdout.splitlines() == ["[]", "[]"]
 
 
 # ----------------------------------------------------------------------- CLI

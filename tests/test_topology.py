@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from ringsim.topology import (
     hop_distances,
     init_waypoints,
     location_distribution,
-    unit_disk_matrix,
+    track_neighbors,
     unit_disk_neighbors,
     waypoint_step,
 )
@@ -247,48 +248,53 @@ def test_ring_census_matches_member_list_reference(seed, n, radio, horizon):
 def _state(*nodes):
     """WaypointState from (position, waypoint, speed, pause_remaining) rows."""
     pos, wp, speed, pause = zip(*nodes)
-    return WaypointState(np.array(pos, dtype=float), np.array(wp, dtype=float),
-                         np.array(speed, dtype=float),
-                         np.array(pause, dtype=float))
+    return WaypointState([float(x) for x, _ in pos], [float(y) for _, y in pos],
+                         [float(x) for x, _ in wp], [float(y) for _, y in wp],
+                         [float(v) for v in speed], [float(p) for p in pause])
 
 
 def _node(state, i):
-    return (tuple(state.pos[i].tolist()), tuple(state.wp[i].tolist()),
-            float(state.speed[i]), float(state.pause[i]))
+    return ((state.x[i], state.y[i]), (state.wx[i], state.wy[i]),
+            state.speed[i], state.pause[i])
+
+
+def _bits(values):
+    """The float64 bytes of a list of floats, to compare bit for bit."""
+    return array("d", values).tobytes()
 
 
 def test_waypoint_pause_countdown():
     state = _state(((10.0, 10.0), (50.0, 50.0), 3.0, 5.0))
     rng = random.Random(0)
-    waypoint_step(state, 1.0, 2.0, 30.0, ARENA, rng)
-    assert tuple(state.pos[0].tolist()) == (10.0, 10.0)
+    assert waypoint_step(state, 1.0, 2.0, 30.0, ARENA, rng) == []
+    assert (state.x[0], state.y[0]) == (10.0, 10.0)
     assert state.pause[0] == 4.0
-    assert tuple(state.wp[0].tolist()) == (50.0, 50.0)
+    assert (state.wx[0], state.wy[0]) == (50.0, 50.0)
 
 
 def test_waypoint_straight_advance():
     state = _state(((0.0, 0.0), (100.0, 0.0), 10.0, 0.0))
     waypoint_step(state, 1.0, 2.0, 30.0, ARENA, random.Random(0))
-    assert state.pos[0, 0] == pytest.approx(10.0)
-    assert state.pos[0, 1] == 0.0
+    assert state.x[0] == pytest.approx(10.0)
+    assert state.y[0] == 0.0
     assert state.pause[0] == 0.0
 
 
 def test_waypoint_arrival_starts_pause():
     state = _state(((0.0, 0.0), (5.0, 0.0), 10.0, 0.0))
-    waypoint_step(state, 1.0, 7.0, 30.0, ARENA, random.Random(0))
-    assert tuple(state.pos[0].tolist()) == (5.0, 0.0)
+    assert waypoint_step(state, 1.0, 7.0, 30.0, ARENA, random.Random(0)) == []
+    assert (state.x[0], state.y[0]) == (5.0, 0.0)
     assert state.pause[0] == 7.0
 
 
 def test_waypoint_zero_pause_redraws_target():
     state = _state(((0.0, 0.0), (5.0, 0.0), 10.0, 0.0))
-    waypoint_step(state, 1.0, 0.0, 30.0, ARENA, random.Random(3))
-    assert tuple(state.pos[0].tolist()) == (5.0, 0.0)
+    assert waypoint_step(state, 1.0, 0.0, 30.0, ARENA, random.Random(3)) == [0]
+    assert (state.x[0], state.y[0]) == (5.0, 0.0)
     assert state.pause[0] == 0.0
-    assert tuple(state.wp[0].tolist()) != (5.0, 0.0)
-    assert 0 <= state.wp[0, 0] <= ARENA.width
-    assert 0 <= state.wp[0, 1] <= ARENA.height
+    assert (state.wx[0], state.wy[0]) != (5.0, 0.0)
+    assert 0 <= state.wx[0] <= ARENA.width
+    assert 0 <= state.wy[0] <= ARENA.height
 
 
 def test_waypoint_stays_inside_arena():
@@ -298,9 +304,9 @@ def test_waypoint_stays_inside_arena():
                            30.0, rng)
     for _ in range(800):
         waypoint_step(state, 0.1, 0.5, 30.0, arena, rng)
-        assert np.all((0.0 <= state.pos[:, 0]) & (state.pos[:, 0] <= arena.width))
-        assert np.all((0.0 <= state.pos[:, 1]) & (state.pos[:, 1] <= arena.height))
-        assert np.all((0.0 < state.speed) & (state.speed <= 30.0))
+        assert all(0.0 <= x <= arena.width for x in state.x)
+        assert all(0.0 <= y <= arena.height for y in state.y)
+        assert all(0.0 < v <= 30.0 for v in state.speed)
 
 
 def test_waypoint_trajectory_deterministic():
@@ -310,7 +316,7 @@ def test_waypoint_trajectory_deterministic():
         points = []
         for _ in range(200):
             waypoint_step(state, 0.1, 0.0, 20.0, ARENA, rng)
-            points.append(state.pos.tobytes())
+            points.append(_bits(state.x + state.y))
         return points
 
     assert trajectory() == trajectory()
@@ -327,7 +333,7 @@ def test_waypoint_branches_keep_untouched_fields():
         # straight advance: waypoint, speed and pause_remaining carried over
         ((0.0, 0.0), (100.0, 0.0), 10.0, -0.5),
     )
-    waypoint_step(state, 1.0, 7.0, 30.0, ARENA, rng)
+    assert waypoint_step(state, 1.0, 7.0, 30.0, ARENA, rng) == []
     assert _node(state, 0) == ((10.0, 10.0), (50.0, 50.0), 3.0, 4.0)
     assert _node(state, 1) == ((5.0, 0.0), (5.0, 0.0), 10.0, 7.0)
     assert _node(state, 2) == ((10.0, 0.0), (100.0, 0.0), 10.0, -0.5)
@@ -430,22 +436,28 @@ _EDGE_ROWS = [
 @example(start=(0.5, _EDGE_ROWS), pause_time=0.0, steps=60, seed=7)
 @example(start=(0.5, _EDGE_ROWS), pause_time=2.0, steps=60, seed=7)
 def test_waypoint_step_matches_scalar_reference(start, pause_time, steps, seed):
-    """Arrays and random state equal the scalar reference's, bit for bit."""
+    """State lists and random state equal the scalar reference's, bit for
+    bit, and the step returns the nodes the reference drew for."""
     dt, nodes = start
     arena, v_max = Arena(200.0, 200.0, 50.0), 30.0
     state = _state(*nodes)
     reference = [_ScalarWaypoint(*node) for node in nodes]
     rng, ref_rng = random.Random(seed), random.Random(seed)
     for _ in range(steps):
-        waypoint_step(state, dt, pause_time, v_max, arena, rng)
-        reference = [_scalar_step(s, dt, pause_time, v_max, arena, ref_rng)
-                     for s in reference]
+        redrawn = waypoint_step(state, dt, pause_time, v_max, arena, rng)
+        drew = []
+        for i, s in enumerate(reference):
+            before = ref_rng.getstate()
+            reference[i] = _scalar_step(s, dt, pause_time, v_max, arena, ref_rng)
+            if ref_rng.getstate() != before:
+                drew.append(i)
+        assert redrawn == drew
         expected = _state(*((s.position, s.waypoint, s.speed, s.pause_remaining)
                             for s in reference))
-        for name in ("pos", "wp", "speed", "pause"):
+        for name in ("x", "y", "wx", "wy", "speed", "pause"):
             got, want = getattr(state, name), getattr(expected, name)
-            assert got.dtype == np.float64
-            assert got.tobytes() == want.tobytes(), name
+            assert all(type(v) is float for v in got)
+            assert _bits(got) == _bits(want), name
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -469,14 +481,11 @@ def _reference_neighbors(positions, radio_range):
 
 
 def _full_build(positions, radio_range):
-    """The pure-Python rows and the unit-disk matrix, the pair a mobile engine
-    starts from; both must equal the per-row reference.  Returns the pair."""
+    """The pure-Python rows, checked against the per-row reference."""
     rows = graph_from_positions(positions, radio_range).neighbors
-    within = unit_disk_matrix(positions, radio_range)
     assert list(rows) == _reference_neighbors(positions, radio_range)
     assert all(type(row) is tuple for row in rows)
-    assert list(rows) == [tuple(np.flatnonzero(row).tolist()) for row in within]
-    return within, rows
+    return rows
 
 
 # coordinates with exact ties at the 250 m range among the random ones
@@ -496,50 +505,79 @@ def test_graph_from_positions_matches_per_row_reference(positions, radio_range):
     _full_build(positions, radio_range)
 
 
-def _check_reused_rows(positions, radio_range, prev):
-    """Rows built from prev equal a full rebuild; each unchanged row is the
-    earlier tuple itself.  Returns the new (within, rows)."""
-    adjacency = unit_disk_neighbors(positions, radio_range, prev)
-    within, rows = _full_build(positions, radio_range)
-    assert (adjacency[0] == within).all()
-    assert tuple(adjacency[1]) == rows
-    for row, before in zip(adjacency[1], prev[1]):
-        if row == before:
-            assert row is before
-    return adjacency
+def _tracked_tick(tracker, state, redrawn):
+    """One tracker update after a step that redrew ``redrawn``: the rows equal
+    a full rebuild, and each unchanged row is the earlier tuple itself."""
+    before = list(tracker.rows)
+    rows = unit_disk_neighbors(tracker, state, redrawn)
+    assert tuple(rows) == graph_from_positions(
+        list(zip(state.x, state.y)), tracker.radio_range).neighbors
+    for row, old in zip(rows, before):
+        assert type(row) is tuple
+        if row == old:
+            assert row is old
+
+
+def _track(state, radio_range):
+    rows = graph_from_positions(list(zip(state.x, state.y)), radio_range).neighbors
+    tracker = track_neighbors(state, rows, radio_range, 0.1)
+    assert all(row is old for row, old in zip(tracker.rows, rows))
+    return tracker
 
 
 def test_reused_rows_at_range_and_coincident():
-    frames = [
-        [(0.0, 0.0), (300.0, 0.0), (7.0, 7.0), (600.0, 0.0)],
-        [(0.0, 0.0), (300.0, 0.0), (7.0, 7.0), (600.0, 0.0)],    # no change
-        [(0.0, 0.0), (250.0, 0.0), (7.0, 7.0), (600.0, 0.0)],    # at range
-        [(0.0, 0.0), (250.0, 0.0), (0.0, 0.0), (500.0, 0.0)],    # coincident
-        [(0.0, 0.0), (250.000001, 0.0), (0.0, 0.0), (500.0, 0.0)],
-        [(9.0, 9.0), (9.0, 9.0), (9.0, 9.0), (9.0, 9.0)],        # one spot
-    ]
-    prev = _full_build(frames[0], 250.0)
-    for positions in frames[1:]:
-        prev = _check_reused_rows(positions, 250.0, prev)
-    again = unit_disk_neighbors(frames[-1], 250.0, prev)[1]
-    assert all(row is old for row, old in zip(again, prev[1]))
+    """Arrivals put pairs at exactly the range, 1 um past it and on one spot,
+    then pause expiries redraw them; a head-on pair closes at the full speed
+    bound, so its link forms at the very tick its re-test is due."""
+    state = _state(
+        ((0.0, 0.0), (0.0, 0.0), 1.0, 0.0),               # arrives at tick 1
+        ((300.0, 0.0), (250.0, 0.0), 250.0, 0.0),         # 250 m from 0, tick 2
+        ((0.0, 40.0), (0.0, 0.0), 200.0, 0.0),            # on 0's spot, tick 2
+        ((250.000001, 60.0), (250.000001, 0.0), 300.0, 0.0),  # 1 um past
+        ((100.0, 500.0), (900.0, 500.0), 20.0, 0.0),      # 701 m apart, closing
+        ((801.0, 500.0), (0.0, 500.0), 10.0, 0.0),        # 3 m a tick: tick 151
+    )
+    tracker = _track(state, 250.0)
+    rng = random.Random(2)
+    for tick in range(1, 200):
+        redrawn = waypoint_step(state, 0.1, 3.0, 30.0, ARENA, rng)
+        _tracked_tick(tracker, state, redrawn)
+        if tick == 2:
+            assert tracker.rows[:4] == [(1, 2), (0, 2, 3), (0, 1), (1,)]
+        assert (5 in tracker.rows[4]) == (tick >= 151)
+    assert tracker.tick == 199
+    again = unit_disk_neighbors(tracker, state, [])   # nothing moved
+    assert all(row is old for row, old in zip(again, tracker.rows))
 
 
-@settings(max_examples=60)
+class _LatticeRandom(random.Random):
+    """Draws waypoint coordinates on a 50 m lattice (speeds as usual), so
+    nodes that arrive stop exactly at range of each other or on one spot."""
+
+    def uniform(self, a, b):
+        if a == 0.0:   # a waypoint coordinate in [0, side]
+            return 50.0 * self.randint(0, int(b // 50.0))
+        return super().uniform(a, b)
+
+
+@settings(max_examples=100)
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 30),
        pause_time=st.sampled_from([0.0, 0.5, 2.0]),
        v_max=st.floats(1.0, 30.0), still_every=st.integers(2, 7))
 def test_reused_rows_match_full_rebuild_over_trajectories(
         seed, n, pause_time, v_max, still_every):
-    """Random waypoint trajectories, one neighbor recompute per 0.1 s tick,
-    and some ticks where nothing moved."""
-    arena = Arena(500.0, 500.0, 150.0)
-    rng = random.Random(seed)
-    positions = [(rng.uniform(0, 500.0), rng.uniform(0, 500.0))
+    """Random waypoint trajectories, one neighbor update per 0.1 s tick, and
+    some ticks where nothing moved.  Nodes start and stop on a lattice at
+    the range's spacing, so arrivals, pause expiries and redraws (faster
+    ones too) put pairs exactly at range or on one spot."""
+    arena = Arena(300.0, 300.0, 100.0)
+    rng = _LatticeRandom(seed)
+    positions = [(rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0))
                  for _ in range(n)]
     state = init_waypoints(positions, arena, v_max, rng)
-    prev = _full_build(state.pos, arena.radio_range)
-    for tick in range(1, 80):
+    tracker = _track(state, arena.radio_range)
+    for tick in range(1, 250):
+        redrawn = []
         if tick % still_every:
-            waypoint_step(state, 0.1, pause_time, v_max, arena, rng)
-        prev = _check_reused_rows(state.pos, arena.radio_range, prev)
+            redrawn = waypoint_step(state, 0.1, pause_time, v_max, arena, rng)
+        _tracked_tick(tracker, state, redrawn)
