@@ -326,6 +326,7 @@ def unit_disk_neighbors(tracker: NeighborTracker, state: WaypointState,
     pairs = due.pop(t, [])
     for i in redrawn:
         reach[i] = state.speed[i] * tracker.dt + _ROUNDING_PER_TICK / 2
+        # pairs (j, i) for j < i, then (i, j) for j > i
         for pair in (*range(i, n * i, n), *range(i * n + i + 1, i * n + n)):
             if when[pair] != t:
                 when[pair] = t
