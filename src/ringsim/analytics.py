@@ -206,12 +206,10 @@ def avg_degree(d_f: Sequence[float], horizon: int) -> float:
 
 
 def ring_cost_simple(counts: Sequence[int], k: int) -> int:
-    """Exact transmission count of one TTL-k ring: source plus everyone within k-1 hops."""
+    """Exact transmission count of one TTL-k ring: source plus everyone within
+    k-1 hops.  A census stops at the source's eccentricity: no node lies past it."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(counts) < k - 1:
-        raise InsufficientProfileError(
-            f"ring census has {len(counts)} entries, depth {k} needs {k - 1}")
     return 1 + sum(counts[: k - 1])
 
 

@@ -286,16 +286,13 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
     metrics = engine.run()
 
     counts = bfs_rings(engine.graph0, source)
-    census = []
-    for ttl in rings:
-        padded = counts + (0,) * max(0, ttl - 1 - len(counts))
-        census.append(ring_cost_simple(padded, ttl))
+    census = tuple(ring_cost_simple(counts, ttl) for ttl in rings)
 
     # the source opens every ring itself, so its request keys enter the
     # per-request counts in ring order, and its request ids are ring indices
     sim = tuple(count for (orig, _), count in metrics.rreq_tx.items()
                 if orig == source)
-    return ProbeResult(ring_ttls=rings, census_counts=tuple(census),
+    return ProbeResult(ring_ttls=rings, census_counts=census,
                        sim_counts=sim, waits=waits,
                        emit_times=tuple(engine.nodes[source].rreq_opened))
 

@@ -134,15 +134,13 @@ class Node:
     """Expanding-ring-search core shared by every routing family.
 
     A family supplies these hooks: ``_dispatch_data`` (forward or queue a data
-    packet), ``_learn_reverse`` (what a passing request teaches; returns the
-    ``RreqInfo`` a forward carries: the received one when no route
-    accumulates, else one with this node appended to the route),
-    ``_reply_as_target`` and ``_reply_en_route`` (answer from intermediate
-    state; True if it did), both given that record's route, ``_handle_rrep``,
+    packet), ``_relay_or_reply`` (learn the route back to a new request's src,
+    reply if this node is its dst or can answer from its own state, else
+    return the ``RreqInfo`` a forward carries: the received one when no route
+    accumulates, else one with this node appended), ``_handle_rrep``,
     ``_handle_rerr``, ``_link_failed`` and ``ring_wait`` (reply timeout armed
     for one ring), plus ``_overhear`` or ``_hello_tick`` where the class sets
-    ``overhears`` / ``sends_hellos``.  The request hooks take the request
-    packet, whose src asks for a route to its dst.
+    ``overhears`` / ``sends_hellos``.
     """
 
     protocol: Protocol
@@ -293,11 +291,8 @@ class Node:
                 self.engine.record("drop", self.nid, pkt, "duplicate")
             return
         self.seen_requests.add(key)
-        fwd = self._learn_reverse(pkt, frm)
-        if pkt.dst == self.nid:
-            self._reply_as_target(pkt, fwd.route)
-            return
-        if self._reply_en_route(pkt, fwd.route):
+        fwd = self._relay_or_reply(pkt, frm)
+        if fwd is None:
             return
         new_ttl = pkt.ttl - 1
         if new_ttl > 0 and self.engine.forward_coin():
@@ -332,7 +327,9 @@ class SourceRouteNode(Node):
 
     def _dispatch_data(self, pkt: Packet) -> None:
         info = pkt.info
-        if not info.route or info.route[info.pos] != self.nid:
+        # a data packet has no route yet (new, parked, or reset by the
+        # source's salvage), or its sender stepped pos to this node
+        if not info.route:
             route = self.cache.lookup(pkt.dst)
             if route is None:
                 self._enqueue_data(pkt)
@@ -347,26 +344,22 @@ class SourceRouteNode(Node):
         info.pos += 1
         self.engine.send(self.nid, pkt, next_hop=nxt)
 
-    def _learn_reverse(self, pkt: Packet, frm: int) -> RreqInfo:
+    def _relay_or_reply(self, pkt: Packet, frm: int) -> RreqInfo | None:
         info = pkt.info
         path = info.route + (self.nid,)
         # links are symmetric, so the reversed prefix is a usable route back
         self.cache.insert(tuple(reversed(path)))
+        if pkt.dst == self.nid:
+            self._send_rrep_source_routed(path, len(path) - 1)
+            return None
+        sub = self.cache.lookup(pkt.dst)
+        if sub is not None:
+            full = path + sub[1:]
+            if len(set(full)) == len(full):
+                self._send_rrep_source_routed(full, len(path) - 1)
+                return None
         return RreqInfo(req_id=info.req_id, ring_ttl=info.ring_ttl,
                         orig_seq=info.orig_seq, route=path)
-
-    def _reply_as_target(self, pkt: Packet, path: tuple[int, ...]) -> None:
-        self._send_rrep_source_routed(path, len(path) - 1)
-
-    def _reply_en_route(self, pkt: Packet, path: tuple[int, ...]) -> bool:
-        sub = self.cache.lookup(pkt.dst)
-        if sub is None:
-            return False
-        full = path + sub[1:]
-        if len(set(full)) != len(full):
-            return False
-        self._send_rrep_source_routed(full, len(path) - 1)
-        return True
 
     def _send_rrep_source_routed(self, full_route: tuple[int, ...],
                                  replier: int) -> None:
@@ -508,19 +501,20 @@ class HopByHopNode(Node):
     def _route_confirmed(self, dest: int) -> None:
         """A reply just installed a confirmed route to dest."""
 
-    def _learn_reverse(self, pkt: Packet, frm: int) -> RreqInfo:
+    def _relay_or_reply(self, pkt: Packet, frm: int) -> RreqInfo | None:
         # the request travelled ring_ttl - ttl hops to frm, and one more here
         info = pkt.info
         self._install_route(pkt.src, frm, info.ring_ttl - pkt.ttl + 1,
                             info.orig_seq)
+        if pkt.dst == self.nid:
+            self.seq += 1
+            self._send_rrep(pkt.src, self.nid, 0, self.seq)
+            return None
         # no route accumulates, so the forward carries the record unchanged
-        return info
+        return None if self._reply_en_route(pkt) else info
 
-    def _reply_as_target(self, pkt: Packet, path: tuple) -> None:
-        self.seq += 1
-        self._send_rrep(pkt.src, self.nid, 0, self.seq)
-
-    def _reply_en_route(self, pkt: Packet, path: tuple) -> bool:
+    def _reply_en_route(self, pkt: Packet) -> bool:
+        """True if this node answered a request for another from its routes."""
         return False
 
     def _send_rrep(self, orig: int, target: int, hops_from_target: int,
@@ -634,7 +628,7 @@ class AodvNode(HopByHopNode):
         super().__init__(nid, variant, params, engine)
         self.repairs: dict[int, PendingRequest] = {}
 
-    def _reply_en_route(self, pkt: Packet, path: tuple) -> bool:
+    def _reply_en_route(self, pkt: Packet) -> bool:
         entry = self._valid_route(pkt.dst)
         if entry is None or not entry.seq_valid:
             return False

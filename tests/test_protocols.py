@@ -277,6 +277,30 @@ def test_dsr_destination_reply_carries_route():
     assert next_hop == 4
 
 
+def test_dsr_intermediate_replies_from_cache_unless_route_repeats():
+    """A DSR intermediate joins the request's route to a cached route to the
+    target and replies, unless the joined route would visit a node twice;
+    then it forwards the request with itself appended."""
+    node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=5)
+    node.cache.insert((5, 6, 9))
+    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=3, ring_ttl=4, route=(0, 4)),
+                   frm=4)
+    [(_, rrep, next_hop)] = engine.sent
+    assert rrep.kind == "RREP"
+    assert rrep.info.route == (0, 4, 5, 6, 9)
+    assert rrep.info.pos == 1
+    assert next_hop == 4
+
+    node, engine = make_node(Protocol.DSR, Variant.ERS1, nid=5)
+    node.cache.insert((5, 4, 9))
+    node.on_packet(rreq_packet(0, 9, req_id=1, ttl=3, ring_ttl=4, route=(0, 4)),
+                   frm=4)
+    [(_, fwd, next_hop)] = engine.sent
+    assert fwd.kind == "RREQ"
+    assert fwd.info.route == (0, 4, 5)
+    assert next_hop is None
+
+
 def test_aodv_intermediate_replies_only_with_confirmed_seq():
     node, engine = make_node(Protocol.AODV, Variant.ERS1, nid=5)
     node._install_route(9, next_hop=6, hops=2, seq=4)  # reverse-learned
@@ -727,10 +751,13 @@ def test_source_routed_sends_keep_their_route_contract(monkeypatch, variant,
     """Every DSR unicast goes between neighbors on its route: data from
     route[pos - 1] to route[pos], replies and errors from route[pos + 1] to
     route[pos] on their way back to route[0], their destination; overhearing
-    sees only DATA and RREP."""
+    sees only DATA and RREP.  A data packet reaches dispatch with no route
+    yet, or with pos stepped to the dispatching node."""
     seen = {"DATA": 0, "RREP": 0, "RERR": 0}
     overheard = set()
+    dispatched = set()   # whether a packet entered dispatch with a route
     send, overhear = Engine.send, Node.on_overhear
+    dispatch = SourceRouteNode._dispatch_data
 
     def checked_send(self, sender, pkt, next_hop=None):
         info = pkt.info
@@ -750,14 +777,22 @@ def test_source_routed_sends_keep_their_route_contract(monkeypatch, variant,
         overheard.add(pkt.kind)
         return overhear(self, pkt)
 
+    def checked_dispatch(self, pkt):
+        info = pkt.info
+        assert not info.route or info.route[info.pos] == self.nid
+        dispatched.add(bool(info.route))
+        return dispatch(self, pkt)
+
     monkeypatch.setattr(Engine, "send", checked_send)
     monkeypatch.setattr(Node, "on_overhear", checked_overhear)
+    monkeypatch.setattr(SourceRouteNode, "_dispatch_data", checked_dispatch)
     cfg = RunConfig(protocol=Protocol.DSR, variant=variant, n_nodes=50,
                     arena=Arena(1000.0, 1000.0, radio_range), v_max=30.0,
                     duration=60.0, traffic_pairs=10, seed=1)
     Engine(cfg).run()
     assert overheard == {"DATA", "RREP"}
     assert min(seen.values()) > 0
+    assert dispatched == {False, True}
 
 
 def test_cache_update_surface():
