@@ -2,9 +2,10 @@
 
 Route discovery in reactive MANET protocols floods a route request with a
 hop limit (TTL) that grows ring by ring until the destination answers or the
-whole network has been searched.  This module holds the TTL schedules for the
-three protocol models (AODV, DSR, DYMO) in their default (ERS1) and enhanced
-(ERS2) tunings, plus the expected-cost and expected-wait formulas used to
+whole network has been searched.  This module holds one ``ErsParams`` row
+for each of the three protocol models (AODV, DSR, DYMO) in their default
+(ERS1) and enhanced (ERS2) tunings, the one rule that turns a row into its
+TTL schedule, and the expected-cost and expected-wait formulas used to
 reason about a schedule before simulating it.
 
 All durations are seconds.
@@ -46,10 +47,9 @@ class InvalidScheduleError(ValueError):
 class ErsParams:
     """Constants that drive ring growth and retry timing for one protocol.
 
-    ``net_diameter`` is the escalation sequence of network-wide TTL values
-    used once the threshold is exceeded: a single value for AODV, two or
-    three steps for DYMO.  DSR ignores the ramp fields and searches with
-    ``[nonprop ring, DISCOVERY_HOP_LIMIT]`` instead.
+    Every family searches the same way: rings grow from ``ttl_start`` by
+    ``ttl_increment`` while they stay within ``ttl_threshold``, then the
+    search walks ``net_diameter``, its sequence of network-wide TTL values.
     """
 
     ttl_start: int = 2
@@ -75,36 +75,31 @@ class ErsParams:
             raise ValueError("net_diameter must reach at least ttl_threshold")
 
 
-@cache
-def default_params(protocol: Protocol, variant: Variant) -> ErsParams:
-    """Stock constants for each protocol under the default or enhanced tuning.
+# ERS2 grows the hop-by-hop families' rings and shortens their per-hop timer
+_ERS2_RAMP = dict(ttl_start=3, ttl_increment=3, ttl_threshold=9,
+                  node_traversal_time=0.025)
+_AODV_NET = (35,) * (1 + RREQ_RETRIES)
 
-    Cached: every engine asks for its parameters, and ErsParams is frozen.
-    """
-    enhanced = variant is Variant.ERS2
-    if protocol is Protocol.DSR:
-        return ErsParams(
-            nonprop_timeout=0.090 if enhanced else 0.030,
-            tap_cache_size=256 if enhanced else 1024,
-        )
-    ramp = dict(
-        ttl_start=3 if enhanced else 2,
-        ttl_increment=3 if enhanced else 2,
-        ttl_threshold=9 if enhanced else 7,
-        node_traversal_time=0.025 if enhanced else 0.040,
-    )
-    if protocol is Protocol.AODV:
-        return ErsParams(
-            net_diameter=(35,),
-            net_traversal_time=1.1 if enhanced else 5.6,
-            local_add_ttl=1 if enhanced else 2,
-            **ramp,
-        )
-    return ErsParams(
-        net_diameter=(20, 35, 75) if enhanced else (10, 20),
-        net_traversal_time=1.1 if enhanced else 1.92,
-        **ramp,
-    )
+_DEFAULT_PARAMS = {
+    (Protocol.AODV, Variant.ERS1): ErsParams(net_diameter=_AODV_NET),
+    (Protocol.AODV, Variant.ERS2): ErsParams(
+        net_diameter=_AODV_NET, net_traversal_time=1.1, local_add_ttl=1,
+        **_ERS2_RAMP),
+    (Protocol.DSR, Variant.ERS1): ErsParams(
+        ttl_start=1, ttl_threshold=1, net_diameter=(DISCOVERY_HOP_LIMIT,)),
+    (Protocol.DSR, Variant.ERS2): ErsParams(
+        ttl_start=3, ttl_threshold=3, net_diameter=(DISCOVERY_HOP_LIMIT,),
+        nonprop_timeout=0.090, tap_cache_size=256),
+    (Protocol.DYMO, Variant.ERS1): ErsParams(
+        net_diameter=(10, 20), net_traversal_time=1.92),
+    (Protocol.DYMO, Variant.ERS2): ErsParams(
+        net_diameter=(20, 35, 75), net_traversal_time=1.1, **_ERS2_RAMP),
+}
+
+
+def default_params(protocol: Protocol, variant: Variant) -> ErsParams:
+    """Stock constants for each protocol under the default or enhanced tuning."""
+    return _DEFAULT_PARAMS[protocol, variant]
 
 
 @dataclass(frozen=True)
@@ -124,32 +119,15 @@ class TtlSchedule:
 
 @cache
 def build_schedule(protocol: Protocol, variant: Variant) -> TtlSchedule:
-    """Expand the ring constants into the concrete TTL sequence.
+    """Expand one cell's ring constants into its TTL sequence: the ramp from
+    ttl_start by ttl_increment while within ttl_threshold, then net_diameter.
 
-    AODV and DYMO ramp from ttl_start by ttl_increment while the value stays
-    within ttl_threshold, then escalate to their network-wide value(s): AODV
-    repeats its single network-wide ring RREQ_RETRIES additional times, DYMO
-    walks its escalation sequence once.  DSR searches one bounded
-    non-propagating ring (TTL 1 default, TTL 3 enhanced) and then the full
-    network at DISCOVERY_HOP_LIMIT.
-
-    Cached: every node asks for its schedule, and schedules are immutable.
+    Cached: every node class asks for its schedule, and schedules are
+    immutable.
     """
     params = default_params(protocol, variant)
-    if protocol is Protocol.DSR:
-        first = 3 if variant is Variant.ERS2 else 1
-        rings = (first, DISCOVERY_HOP_LIMIT)
-    else:
-        ramp = []
-        ttl = params.ttl_start
-        while ttl <= params.ttl_threshold:
-            ramp.append(ttl)
-            ttl += params.ttl_increment
-        if protocol is Protocol.AODV:
-            rings = tuple(ramp) + params.net_diameter * (1 + RREQ_RETRIES)
-        else:
-            rings = tuple(ramp) + params.net_diameter
-    return TtlSchedule(rings=rings)
+    ramp = range(params.ttl_start, params.ttl_threshold + 1, params.ttl_increment)
+    return TtlSchedule(rings=(*ramp, *params.net_diameter))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test (and one printed verdict line) per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The directional criterion
-is the slow one (about 83 s on a shared two-core host); everything else
+is the slow one (about 40 s on a shared two-core host); everything else
 finishes in seconds.
 """
 

@@ -7,6 +7,7 @@ import pytest
 
 from ringsim.analytics import (
     ConnectivityProfile,
+    ErsParams,
     InsufficientProfileError,
     InvalidScheduleError,
     LocationDistribution,
@@ -42,9 +43,35 @@ SCHEDULE_CASES = {
 }
 
 
+# the fields the simulator reads: (node_traversal_time, net_traversal_time,
+# local_add_ttl, nonprop_timeout, tap_cache_size)
+PARAM_CASES = {
+    (Protocol.AODV, Variant.ERS1): (0.040, 5.6, 2, 0.030, 1024),
+    (Protocol.AODV, Variant.ERS2): (0.025, 1.1, 1, 0.030, 1024),
+    (Protocol.DSR, Variant.ERS1): (0.040, 5.6, 2, 0.030, 1024),
+    (Protocol.DSR, Variant.ERS2): (0.040, 5.6, 2, 0.090, 256),
+    (Protocol.DYMO, Variant.ERS1): (0.040, 1.92, 2, 0.030, 1024),
+    (Protocol.DYMO, Variant.ERS2): (0.025, 1.1, 2, 0.030, 1024),
+}
+
+
 @pytest.mark.parametrize("protocol,variant", ALL_CELLS)
 def test_schedule_cells(protocol, variant):
     assert build_schedule(protocol, variant).rings == SCHEDULE_CASES[(protocol, variant)]
+
+
+@pytest.mark.parametrize("protocol,variant", ALL_CELLS)
+def test_param_cells(protocol, variant):
+    p = default_params(protocol, variant)
+    assert (p.node_traversal_time, p.net_traversal_time, p.local_add_ttl,
+            p.nonprop_timeout, p.tap_cache_size) == PARAM_CASES[(protocol, variant)]
+
+
+@pytest.mark.parametrize("protocol,variant", ALL_CELLS)
+def test_schedule_is_ramp_then_net_diameter(protocol, variant):
+    p = default_params(protocol, variant)
+    ramp = tuple(range(p.ttl_start, p.ttl_threshold + 1, p.ttl_increment))
+    assert build_schedule(protocol, variant).rings == ramp + p.net_diameter
 
 
 @pytest.mark.parametrize("protocol,variant", ALL_CELLS)
@@ -69,9 +96,9 @@ def test_empty_schedule_rejected():
 
 def test_params_invariants():
     with pytest.raises(ValueError):
-        default_params(Protocol.AODV, Variant.ERS1).__class__(ttl_start=9, ttl_threshold=7)
+        ErsParams(ttl_start=9, ttl_threshold=7)
     with pytest.raises(ValueError):
-        default_params(Protocol.AODV, Variant.ERS1).__class__(ttl_increment=0)
+        ErsParams(ttl_increment=0)
     with pytest.raises(ValueError):
         RouteCache(0, 0)
 
