@@ -625,6 +625,29 @@ def test_golden_mobility_output():
     assert digest.hexdigest() == GOLDEN_MOBILITY_SHA256
 
 
+# Recorded like GOLDEN_SHA256.  Moving nodes, traffic and a rebroadcast coin
+# below 1: the one kind of run that draws from all four random streams
+# (mobility, traffic, forward and, for the hello families, proto).
+GOLDEN_COIN_SHA256 = (
+    "d3af3cdd5da9d723b82bda0ba6e8f2d0e46876f80144e1194a24f0523850ca11")
+
+
+def test_golden_mobile_coin_output():
+    digest = hashlib.sha256()
+    for protocol in Protocol:
+        for seed in (1, 2):
+            cfg = RunConfig(protocol=protocol, variant=Variant.ERS1,
+                            n_nodes=30, arena=Arena(600.0, 600.0, 200.0),
+                            v_max=20.0, pause_time=1.0, duration=20.0,
+                            warmup=2.0, traffic_pairs=5, traffic_rate=4.0,
+                            p_s=0.7, seed=seed, trace=True)
+            engine = Engine(cfg)
+            metrics = engine.run()
+            digest.update(format_trace(engine.trace).encode())
+            digest.update(repr(metrics).encode())
+    assert digest.hexdigest() == GOLDEN_COIN_SHA256
+
+
 @pytest.mark.parametrize("protocol", list(Protocol))
 @pytest.mark.parametrize("mobile", [False, True], ids=["static", "mobile"])
 def test_finished_engine_freed_without_cycle_collector(protocol, mobile,
