@@ -142,23 +142,27 @@ class Engine:
         self.metrics = MetricsRecord()
         self.trace: list[tuple] | None = [] if config.trace else None
 
+        # each random stream is seeded from "<seed>:<name>" and built only
+        # where it is drawn, so building or skipping one shifts no other
         seed = config.seed
-        self._rng_mobility = random.Random(f"{seed}:mobility")
-        self._rng_traffic = random.Random(f"{seed}:traffic")
-        self._rng_forward = random.Random(f"{seed}:forward")
-        self._rng_proto = random.Random(f"{seed}:proto")
+        # forward_coin draws only below p_s = 1
+        self._rng_forward = (random.Random(f"{seed}:forward")
+                             if config.p_s < 1.0 else None)
 
         self.graph0: Graph = generate_topology(seed, config.n_nodes, config.arena)
         self.neighbor_lists = self.graph0.neighbors
 
         self.node_class = NODE_CLASSES[config.protocol]
+        # looked up once, like params, and handed to every node
+        rings = self.node_class.discovery_rings(config.variant)
         # a proxy, not self: nodes and engine form no cycle
         me = weakref.proxy(self)
-        self.nodes = [self.node_class(i, config.variant, self.params, me)
+        self.nodes = [self.node_class(i, rings, self.params, me)
                       for i in range(config.n_nodes)]
         # random-waypoint state and the neighbor tracker, only when nodes move
-        self._waypoints = self._neighbors = None
+        self._waypoints = self._neighbors = self._rng_mobility = None
         if config.v_max > 0:
+            self._rng_mobility = random.Random(f"{seed}:mobility")
             self._waypoints = init_waypoints(
                 self.graph0.positions, config.arena, config.v_max,
                 self._rng_mobility)
@@ -186,17 +190,20 @@ class Engine:
         if self._waypoints is not None:
             self.schedule_in(MOBILITY_TICK, self._mobility_tick)
         if self.node_class.sends_hellos:
+            proto = random.Random(f"{cfg.seed}:proto")
             for node in self.nodes:
-                offset = self._rng_proto.uniform(0, HELLO_INTERVAL)
+                offset = proto.uniform(0, HELLO_INTERVAL)
                 self.schedule_in(offset, node.on_hello_tick)
-        for _ in range(cfg.traffic_pairs):
-            src = self._rng_traffic.randrange(cfg.n_nodes)
-            dst = self._rng_traffic.randrange(cfg.n_nodes - 1)
-            if dst >= src:
-                dst += 1
-            interval = 1.0 / cfg.traffic_rate
-            offset = self._rng_traffic.uniform(0, interval)
-            self.schedule_in(offset, self._traffic_tick, src, dst, interval)
+        if cfg.traffic_pairs:
+            traffic = random.Random(f"{cfg.seed}:traffic")
+            for _ in range(cfg.traffic_pairs):
+                src = traffic.randrange(cfg.n_nodes)
+                dst = traffic.randrange(cfg.n_nodes - 1)
+                if dst >= src:
+                    dst += 1
+                interval = 1.0 / cfg.traffic_rate
+                offset = traffic.uniform(0, interval)
+                self.schedule_in(offset, self._traffic_tick, src, dst, interval)
 
         # a callback that schedules at the current time appends to the bucket
         # being iterated, so it runs later in this same pass

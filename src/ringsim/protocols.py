@@ -1,8 +1,11 @@
 """Per-node reactive-routing behavior for AODV-, DSR-, and DYMO-style models.
 
-Each simulated node owns one node object, built from :data:`NODE_CLASSES`.
-The event engine feeds it packet deliveries, timer callbacks, and link-failure
-signals; the node calls back into the engine to transmit packets and arm timers.
+Each simulated node owns one node object, built from :data:`NODE_CLASSES` as
+``cls(nid, rings, params, engine)``: the engine looks the class's
+``discovery_rings`` and the cell's ``ErsParams`` up once and hands the same
+two objects to every node.  The event engine feeds it packet deliveries,
+timer callbacks, and link-failure signals; the node calls back into the
+engine to transmit packets and arm timers.
 
 :class:`Node` is the expanding-ring-search core all three models share.  The
 routing families plug into its hooks: :class:`SourceRouteNode` (DSR: route
@@ -141,6 +144,11 @@ class Node:
     ``_handle_rerr``, ``_link_failed`` and ``ring_wait`` (reply timeout armed
     for one ring), plus ``_overhear`` or ``_hello_tick`` where the class sets
     ``overhears`` / ``sends_hellos``.
+
+    A node is built as ``cls(nid, rings, params, engine)``: ``rings`` is the
+    class's ``discovery_rings`` for the cell's variant and ``params`` its
+    ``ErsParams``, both looked up once by the engine and shared by all its
+    nodes.
     """
 
     protocol: Protocol
@@ -149,14 +157,15 @@ class Node:
     cache: RouteCache | None = None
     _rreq_route: tuple[int, ...] = ()   # path a fresh request starts with
 
-    def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
+    def __init__(self, nid: int, rings: tuple[int, ...], params: ErsParams,
+                 engine):
         self.nid = nid
         self.params = params
         self.engine = engine
         # fixed for the engine's life: an untraced node then makes no trace
         # call at all, for a reception or for a duplicate
         self.traced = engine.trace is not None
-        self.rings = self.discovery_rings(variant)
+        self.rings = rings
         self.seq = 0
         # send time of each request this node originated; index = request id
         self.rreq_opened: list[float] = []
@@ -232,7 +241,7 @@ class Node:
     @functools.cache
     def discovery_rings(cls, variant: Variant) -> tuple[int, ...]:
         """Ring TTLs a discovery attempt actually walks; cached per class and
-        variant, since every node of an engine asks."""
+        variant.  The engine asks once and hands the tuple to every node."""
         return build_schedule(cls.protocol, variant).rings
 
     def request_route(self, dest: int) -> PendingRequest:
@@ -307,8 +316,9 @@ class SourceRouteNode(Node):
     protocol = Protocol.DSR
     overhears = ("DATA", "RREP")
 
-    def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
-        super().__init__(nid, variant, params, engine)
+    def __init__(self, nid: int, rings: tuple[int, ...], params: ErsParams,
+                 engine):
+        super().__init__(nid, rings, params, engine)
         self.cache = RouteCache(params.tap_cache_size, nid)
         self._rreq_route = (nid,)
         self._grat_sent: dict[tuple[int, int], float] = {}
@@ -462,8 +472,9 @@ class HopByHopNode(Node):
     protocol = Protocol.DYMO
     sends_hellos = True
 
-    def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
-        super().__init__(nid, variant, params, engine)
+    def __init__(self, nid: int, rings: tuple[int, ...], params: ErsParams,
+                 engine):
+        super().__init__(nid, rings, params, engine)
         self.routes: dict[int, RouteEntry] = {}
         self._last_hops: dict[int, int] = {}
         self.last_heard: dict[int, float] = {}
@@ -624,8 +635,9 @@ class AodvNode(HopByHopNode):
 
     protocol = Protocol.AODV
 
-    def __init__(self, nid: int, variant: Variant, params: ErsParams, engine):
-        super().__init__(nid, variant, params, engine)
+    def __init__(self, nid: int, rings: tuple[int, ...], params: ErsParams,
+                 engine):
+        super().__init__(nid, rings, params, engine)
         self.repairs: dict[int, PendingRequest] = {}
 
     def _reply_en_route(self, pkt: Packet) -> bool:

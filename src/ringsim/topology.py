@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
@@ -284,8 +285,21 @@ class NeighborTracker:
     reach: list[float]             # node -> speed * dt + half the rounding allowance
     when: list[int]                # pair -> tick of its next re-test
     due: dict[int, list[int]]      # tick -> pairs to re-test then, if ``when`` agrees
-    ends: tuple[list[int], list[int]]   # pair -> i, and pair -> j
+    # pair -> i, and pair -> j: shared by every tracker of n nodes, never changed
+    ends: tuple[tuple[int, ...], tuple[int, ...]]
     tick: int = 0
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
+                                  tuple[int, ...]]:
+    """The ``ends`` of n nodes, and every pair i * n + j (i < j) in order.
+
+    A sweep has one node count, so one entry serves all its trackers.
+    Both are tuples: trackers share them and copy what they change."""
+    cells = range(n * n)
+    ends = (tuple(p // n for p in cells), tuple(p % n for p in cells))
+    return ends, tuple(i * n + j for i in range(n) for j in range(i + 1, n))
 
 
 def track_neighbors(state: WaypointState, rows: Sequence[tuple[int, ...]],
@@ -299,13 +313,12 @@ def track_neighbors(state: WaypointState, rows: Sequence[tuple[int, ...]],
     """
     n = len(rows)
     half = _ROUNDING_PER_TICK / 2
+    ends, pairs = _pair_tables(n)
     return NeighborTracker(
         radio_range=radio_range, dt=dt, rows=list(rows),
         links=[set(row) for row in rows],
         reach=[speed * dt + half for speed in state.speed],
-        when=[1] * (n * n),
-        due={1: [i * n + j for i in range(n) for j in range(i + 1, n)]},
-        ends=([p // n for p in range(n * n)], [p % n for p in range(n * n)]))
+        when=[1] * (n * n), due={1: list(pairs)}, ends=ends)
 
 
 def unit_disk_neighbors(tracker: NeighborTracker, state: WaypointState,

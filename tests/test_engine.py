@@ -20,7 +20,7 @@ from ringsim.engine import (
     format_trace,
 )
 from ringsim.packets import BROADCAST, Packet
-from ringsim.protocols import Node, RouteCache
+from ringsim.protocols import NODE_CLASSES, Node, RouteCache
 from ringsim.topology import Arena
 
 
@@ -646,6 +646,27 @@ def test_golden_mobile_coin_output():
             digest.update(format_trace(engine.trace).encode())
             digest.update(repr(metrics).encode())
     assert digest.hexdigest() == GOLDEN_COIN_SHA256
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_engine_looks_rings_up_once(protocol, monkeypatch):
+    """The engine asks the node class for its rings once and hands the one
+    tuple to every node; a lookup per node slows the set-up of every cell."""
+    cls = NODE_CLASSES[protocol]
+    original = cls.discovery_rings
+    asked = []
+
+    def spy(klass, variant):
+        asked.append(variant)
+        return original(variant)
+
+    monkeypatch.setattr(cls, "discovery_rings", classmethod(spy))
+    engine = Engine(static_config(protocol=protocol, variant=Variant.ERS2,
+                                  n_nodes=12, traffic_pairs=0))
+    assert asked == [Variant.ERS2]
+    rings = engine.nodes[0].rings
+    assert rings == original(Variant.ERS2)
+    assert all(node.rings is rings for node in engine.nodes)
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))

@@ -76,7 +76,8 @@ def test_fake_engine_mirrors_engine(name):
 def make_node(protocol, variant, nid=0, trace=False):
     engine = FakeEngine(trace)
     params = default_params(protocol, variant)
-    node = NODE_CLASSES[protocol](nid, variant, params, engine)
+    cls = NODE_CLASSES[protocol]
+    node = cls(nid, cls.discovery_rings(variant), params, engine)
     return node, engine
 
 

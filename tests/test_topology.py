@@ -581,3 +581,22 @@ def test_reused_rows_match_full_rebuild_over_trajectories(
         if tick % still_every:
             redrawn = waypoint_step(state, 0.1, pause_time, v_max, arena, rng)
         _tracked_tick(tracker, state, redrawn)
+
+
+def test_trackers_of_several_node_counts_share_no_state():
+    """Trackers of 7, 12 and again 7 nodes, built in one process (so the
+    pair tables are built, replaced and rebuilt) and stepped in lockstep:
+    every tick's rows of each equal a full rebuild."""
+    arena = Arena(300.0, 300.0, 100.0)
+    runs = []
+    for seed, n in ((1, 7), (2, 12), (3, 7)):
+        rng = random.Random(seed)
+        positions = [(rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0))
+                     for _ in range(n)]
+        state = init_waypoints(positions, arena, 30.0, rng)
+        runs.append((_track(state, arena.radio_range), state, rng))
+    for tick in range(1, 200):
+        for tracker, state, rng in runs:
+            redrawn = waypoint_step(state, 0.1, 0.5, 30.0, arena, rng)
+            _tracked_tick(tracker, state, redrawn)
+    assert [len(tracker.rows) for tracker, _, _ in runs] == [7, 12, 7]
