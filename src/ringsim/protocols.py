@@ -145,10 +145,8 @@ class Node:
     for one ring), plus ``_overhear`` or ``_hello_tick`` where the class sets
     ``overhears`` / ``sends_hellos``.
 
-    A node is built as ``cls(nid, rings, params, engine)``: ``rings`` is the
-    class's ``discovery_rings`` for the cell's variant and ``params`` its
-    ``ErsParams``, both looked up once by the engine and shared by all its
-    nodes.
+    Built as ``cls(nid, rings, params, engine)``: the cell's
+    ``discovery_rings`` and ``ErsParams``, shared by all the engine's nodes.
     """
 
     protocol: Protocol

@@ -584,12 +584,13 @@ def test_reused_rows_match_full_rebuild_over_trajectories(
 
 
 def test_trackers_of_several_node_counts_share_no_state():
-    """Trackers of 7, 12 and again 7 nodes, built in one process (so the
-    pair tables are built, replaced and rebuilt) and stepped in lockstep:
-    every tick's rows of each equal a full rebuild."""
+    """Trackers of 7, 7, 12 and again 7 nodes, built in one process (so the
+    pair tables are shared, replaced and rebuilt) and stepped in lockstep
+    along different trajectories: every tick's rows of each equal a full
+    rebuild."""
     arena = Arena(300.0, 300.0, 100.0)
     runs = []
-    for seed, n in ((1, 7), (2, 12), (3, 7)):
+    for seed, n in ((1, 7), (2, 7), (3, 12), (4, 7)):
         rng = random.Random(seed)
         positions = [(rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0))
                      for _ in range(n)]
@@ -599,4 +600,4 @@ def test_trackers_of_several_node_counts_share_no_state():
         for tracker, state, rng in runs:
             redrawn = waypoint_step(state, 0.1, 0.5, 30.0, arena, rng)
             _tracked_tick(tracker, state, redrawn)
-    assert [len(tracker.rows) for tracker, _, _ in runs] == [7, 12, 7]
+    assert [len(tracker.rows) for tracker, _, _ in runs] == [7, 7, 12, 7]
