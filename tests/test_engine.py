@@ -567,6 +567,29 @@ def test_cache_capacity_holds_while_caches_evict(monkeypatch):
     assert len(filled) > cfg.n_nodes // 2
 
 
+def golden_digests(configs):
+    """One SHA-256 per protocol over each run's trace text and
+    repr(metrics), fed the runs in the order given."""
+    digests = {}
+    for cfg in configs:
+        engine = Engine(cfg)
+        metrics = engine.run()
+        digest = digests.setdefault(cfg.protocol.name, hashlib.sha256())
+        digest.update(format_trace(engine.trace).encode())
+        digest.update(repr(metrics).encode())
+    return {name: digest.hexdigest() for name, digest in digests.items()}
+
+
+def golden_exact_configs(protocol):
+    for variant in Variant:
+        for radio_range in (250.0, 180.0):
+            yield RunConfig(protocol=protocol, variant=variant, n_nodes=30,
+                            arena=Arena(800.0, 800.0, radio_range),
+                            v_max=20.0, pause_time=0.0, duration=20.0,
+                            warmup=2.0, traffic_pairs=5, traffic_rate=4.0,
+                            seed=3, trace=True)
+
+
 # Recorded on CPython 3.11.7.  Any change to what a run
 # sends, drops, delivers or counts moves this hash; a refactor must not.
 # Re-recorded (was 613f7cf0…607f41) when data-drop trace lines began naming
@@ -579,24 +602,20 @@ def test_cache_capacity_holds_while_caches_evict(monkeypatch):
 # Re-recorded (was 2d8a74a8…dfbe252) when a unicast whose next hop has gone
 # began to be traced as "fail … link_fail", not "drop … link_fail": only the
 # kind column of those lines changed.
-GOLDEN_SHA256 = "f029d3c6d7252ba86c6ff6b117e4903800efb10127a669c6d28426002276bed6"
+# Split into one digest per protocol, so a change to one family moves only
+# its own: the one digest (f029d3c6…76bed6) hashed the same bytes, the three
+# protocols' runs in Protocol order.
+GOLDEN_SHA256 = {
+    "AODV": "2b20aebc9b68a5b9c968eb4dc658d8e0ff626e00ab68180ca4ea4e00a6fbd05f",
+    "DSR": "618ba12a02e3d63d50d3cb41a29fe1d3097ba8451ae542aef03a3e1db7a793c3",
+    "DYMO": "b452104e9ce3c752c8abdeee011bf32a2473c6138130974db63d0307044ea4cd",
+}
 
 
 def test_golden_exact_output():
-    digest = hashlib.sha256()
-    for protocol in Protocol:
-        for variant in Variant:
-            for radio_range in (250.0, 180.0):
-                cfg = RunConfig(protocol=protocol, variant=variant, n_nodes=30,
-                                arena=Arena(800.0, 800.0, radio_range),
-                                v_max=20.0, pause_time=0.0, duration=20.0,
-                                warmup=2.0, traffic_pairs=5, traffic_rate=4.0,
-                                seed=3, trace=True)
-                engine = Engine(cfg)
-                metrics = engine.run()
-                digest.update(format_trace(engine.trace).encode())
-                digest.update(repr(metrics).encode())
-    assert digest.hexdigest() == GOLDEN_SHA256
+    assert golden_digests(cfg for protocol in Protocol
+                          for cfg in golden_exact_configs(protocol)) \
+        == GOLDEN_SHA256
 
 
 # Recorded like GOLDEN_SHA256.  Paused random-waypoint motion: small arena
@@ -604,48 +623,46 @@ def test_golden_exact_output():
 # Re-recorded (was 82f77e2a…742580) with GOLDEN_SHA256, for the same reason,
 # and again (was dc8dfada…c84658) with it when that counter went, and
 # (was 6945ef19…f46a41) when failed hand-offs became "fail" lines.
-GOLDEN_MOBILITY_SHA256 = (
-    "c1b84194b460efad1454497af8b7aca16ff2b6f8ef8b45fa15496e63d7abf9c3")
+# Split per protocol like GOLDEN_SHA256 (was c1b84194…abf9c3).
+GOLDEN_MOBILITY_SHA256 = {
+    "AODV": "d9b5eb7909b2aa86abea0fefee5da0c4cdc70e450a542343e327a57ace3bf8ee",
+    "DSR": "7660ce4342df6dd1e856c174c80fa058c34687c270ca86d8aeddfecffbe6ad49",
+    "DYMO": "b9e4c3d08d2ae6e45af49d8b38ab63249101b9ac40a9c504dabcd83dc5c7b238",
+}
 
 
 def test_golden_mobility_output():
-    digest = hashlib.sha256()
-    for protocol in Protocol:
-        for pause_time in (0.3, 1.0, 5.0):
-            for seed in (1, 2):
-                cfg = RunConfig(protocol=protocol, variant=Variant.ERS1,
-                                n_nodes=30, arena=Arena(500.0, 500.0, 150.0),
-                                v_max=30.0, pause_time=pause_time,
-                                duration=20.0, warmup=2.0, traffic_pairs=5,
-                                traffic_rate=4.0, seed=seed, trace=True)
-                engine = Engine(cfg)
-                metrics = engine.run()
-                digest.update(format_trace(engine.trace).encode())
-                digest.update(repr(metrics).encode())
-    assert digest.hexdigest() == GOLDEN_MOBILITY_SHA256
+    configs = (RunConfig(protocol=protocol, variant=Variant.ERS1, n_nodes=30,
+                         arena=Arena(500.0, 500.0, 150.0), v_max=30.0,
+                         pause_time=pause_time, duration=20.0, warmup=2.0,
+                         traffic_pairs=5, traffic_rate=4.0, seed=seed,
+                         trace=True)
+               for protocol in Protocol
+               for pause_time in (0.3, 1.0, 5.0)
+               for seed in (1, 2))
+    assert golden_digests(configs) == GOLDEN_MOBILITY_SHA256
 
 
 # Recorded like GOLDEN_SHA256.  Moving nodes, traffic and a rebroadcast coin
 # below 1: the one kind of run that draws from all four random streams
 # (mobility, traffic, forward and, for the hello families, proto).
-GOLDEN_COIN_SHA256 = (
-    "d3af3cdd5da9d723b82bda0ba6e8f2d0e46876f80144e1194a24f0523850ca11")
+# Split per protocol like GOLDEN_SHA256 (was d3af3cdd…850ca11).
+GOLDEN_COIN_SHA256 = {
+    "AODV": "a9dea56163e74807e0d5f26a556ba41fb3d488c0406e8ffb92fcbf2afad65e19",
+    "DSR": "a9f79441ecf8f053825e90ae5d4b56870a68f538e7d39d327d4e356d96af179e",
+    "DYMO": "85b9484aee65a80ed951a229a7f087dc5ec121dab1d04992807aaccbcfc527b3",
+}
 
 
 def test_golden_mobile_coin_output():
-    digest = hashlib.sha256()
-    for protocol in Protocol:
-        for seed in (1, 2):
-            cfg = RunConfig(protocol=protocol, variant=Variant.ERS1,
-                            n_nodes=30, arena=Arena(600.0, 600.0, 200.0),
-                            v_max=20.0, pause_time=1.0, duration=20.0,
-                            warmup=2.0, traffic_pairs=5, traffic_rate=4.0,
-                            p_s=0.7, seed=seed, trace=True)
-            engine = Engine(cfg)
-            metrics = engine.run()
-            digest.update(format_trace(engine.trace).encode())
-            digest.update(repr(metrics).encode())
-    assert digest.hexdigest() == GOLDEN_COIN_SHA256
+    configs = (RunConfig(protocol=protocol, variant=Variant.ERS1, n_nodes=30,
+                         arena=Arena(600.0, 600.0, 200.0), v_max=20.0,
+                         pause_time=1.0, duration=20.0, warmup=2.0,
+                         traffic_pairs=5, traffic_rate=4.0, p_s=0.7,
+                         seed=seed, trace=True)
+               for protocol in Protocol
+               for seed in (1, 2))
+    assert golden_digests(configs) == GOLDEN_COIN_SHA256
 
 
 @pytest.mark.parametrize("protocol", list(Protocol))
