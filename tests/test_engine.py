@@ -665,6 +665,41 @@ def test_golden_mobile_coin_output():
     assert golden_digests(configs) == GOLDEN_COIN_SHA256
 
 
+@pytest.mark.parametrize("protocol", [
+    pytest.param(Protocol.AODV, marks=pytest.mark.xfail(
+        strict=True, reason="AODV answers a local-repair request with a stale "
+                            "route through the requester, so data loops")),
+    Protocol.DYMO,
+])
+def test_data_visits_no_node_twice(protocol, monkeypatch):
+    """When a data packet ends, delivered or dropped, the hops it travelled
+    hold no node twice.  DSR is left out: a salvaged packet can take a
+    cached route back through hops it already took."""
+    revisits = []
+
+    def check(pkt):
+        traveled = pkt.info.traveled
+        if len(set(traveled)) != len(traveled):
+            revisits.append(traveled)
+
+    delivered, dropped = Engine.data_delivered, Engine.drop_data
+
+    def spy_delivered(engine, pkt):
+        check(pkt)
+        delivered(engine, pkt)
+
+    def spy_dropped(engine, node, pkt, reason):
+        check(pkt)
+        dropped(engine, node, pkt, reason)
+
+    monkeypatch.setattr(Engine, "data_delivered", spy_delivered)
+    monkeypatch.setattr(Engine, "drop_data", spy_dropped)
+    for cfg in golden_exact_configs(protocol):
+        Engine(cfg).run()
+    assert not revisits, \
+        f"{len(revisits)} data packets revisited a node, e.g. {revisits[0]}"
+
+
 @pytest.mark.parametrize("protocol", list(Protocol))
 def test_engine_looks_rings_up_once(protocol, monkeypatch):
     """The engine asks the node class for its rings once and hands the one
