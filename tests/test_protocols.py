@@ -386,6 +386,20 @@ def test_repair_timeout_reports_upstream():
     assert sent_kinds(engine) == ["RREQ", "RERR"]
 
 
+def test_repair_timeout_sends_over_a_route_learned_meanwhile():
+    """A request from 9 reaches the repairer from 7 and installs a route
+    back to 9; the repair timer then sends the parked packet that way."""
+    node, engine, pkt = _break_forwarded_link(Protocol.AODV, Variant.ERS1, 2)
+    delay, fn, args = engine.timers[0]
+    node.on_packet(rreq_packet(9, 5, req_id=0, ttl=3), frm=7)
+    engine.now = 1.0 + delay
+    fn(*args)
+    assert engine.sent[-1] == (3, pkt, 7)
+    assert "RERR" not in sent_kinds(engine)
+    assert engine.data_drops == []
+    assert node.repairs == {}
+
+
 # -------------------------------------------------------------- route cache
 
 def test_cache_fifo_eviction():
