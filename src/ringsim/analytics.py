@@ -35,14 +35,6 @@ TIMEOUT_BUFFER = 2.0       # hops of slack in the hop-by-hop reply timeout
 DISCOVERY_HOP_LIMIT = 255  # TTL of DSR's network-wide ring
 
 
-class InsufficientProfileError(ValueError):
-    """A connectivity profile has fewer per-hop degrees than the query needs."""
-
-
-class InvalidScheduleError(ValueError):
-    """A TTL schedule is empty or otherwise unusable."""
-
-
 @dataclass(frozen=True)
 class ErsParams:
     """Constants that drive ring growth and retry timing for one protocol.
@@ -110,11 +102,11 @@ class TtlSchedule:
 
     def __post_init__(self):
         if not self.rings:
-            raise InvalidScheduleError("schedule must contain at least one ring")
+            raise ValueError("schedule must contain at least one ring")
         if any(b < a for a, b in zip(self.rings, self.rings[1:])):
-            raise InvalidScheduleError("ring TTLs must be non-decreasing")
+            raise ValueError("ring TTLs must be non-decreasing")
         if min(self.rings) < 1:
-            raise InvalidScheduleError("ring TTLs must be >= 1")
+            raise ValueError("ring TTLs must be >= 1")
 
 
 @cache
@@ -122,8 +114,8 @@ def build_schedule(protocol: Protocol, variant: Variant) -> TtlSchedule:
     """Expand one cell's ring constants into its TTL sequence: the ramp from
     ttl_start by ttl_increment while within ttl_threshold, then net_diameter.
 
-    Cached: every node class asks for its schedule, and schedules are
-    immutable.
+    Cached (schedules are immutable): the engine and the sweep's closed form
+    ask once per cell, the ring analytics once per topology.
     """
     params = default_params(protocol, variant)
     ramp = range(params.ttl_start, params.ttl_threshold + 1, params.ttl_increment)
@@ -178,7 +170,7 @@ def avg_degree(d_f: Sequence[float], horizon: int) -> float:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if horizon > len(d_f):
-        raise InsufficientProfileError(
+        raise ValueError(
             f"profile has {len(d_f)} forwarding degrees, horizon needs {horizon}")
     return sum(d_f[:horizon]) / horizon
 
@@ -200,7 +192,7 @@ def ring_cost_ttl(profile: ConnectivityProfile, ttl: int) -> float:
     if ttl < 1:
         raise ValueError("ttl must be >= 1")
     if len(profile.d_f) < ttl - 1:
-        raise InsufficientProfileError(
+        raise ValueError(
             f"profile has {len(profile.d_f)} forwarding degrees, ttl {ttl} needs {ttl - 1}")
     cost = profile.p_s * profile.d_avg
     prod = 1.0

@@ -25,7 +25,6 @@ engine passes none.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -234,12 +233,10 @@ class Node:
 
     # ------------------------------------------------------------- discovery
 
-    # functools.cache: the class attribute ``cache`` shadows a bare ``cache``
     @classmethod
-    @functools.cache
     def discovery_rings(cls, variant: Variant) -> tuple[int, ...]:
-        """Ring TTLs a discovery attempt actually walks; cached per class and
-        variant.  The engine asks once and hands the tuple to every node."""
+        """Ring TTLs a discovery attempt actually walks.  The engine asks once
+        per cell and hands the tuple to every node."""
         return build_schedule(cls.protocol, variant).rings
 
     def request_route(self, dest: int) -> PendingRequest:
@@ -322,7 +319,6 @@ class SourceRouteNode(Node):
         self._grat_sent: dict[tuple[int, int], float] = {}
 
     @classmethod
-    @functools.cache
     def discovery_rings(cls, variant: Variant) -> tuple[int, ...]:
         """The two-ring schedule plus MAX_MAIN_REXMT network-wide retries."""
         rings = super().discovery_rings(variant)
@@ -384,9 +380,8 @@ class SourceRouteNode(Node):
         self._walk_back(pkt)
 
     def _handle_rerr(self, pkt: Packet, frm: int) -> None:
-        info = pkt.info
-        if info.broken_link is not None:
-            self.cache.purge_link(*info.broken_link)
+        # _send_rerr_source_routed, the only DSR error sender, names the link
+        self.cache.purge_link(*pkt.info.broken_link)
         if self.nid != pkt.dst:
             self._walk_back(pkt)
 
