@@ -288,10 +288,8 @@ def probe_discovery(protocol: Protocol, variant: Variant, seed: int,
     counts = bfs_rings(engine.graph0, source)
     census = tuple(ring_cost_simple(counts, ttl) for ttl in rings)
 
-    # the source opens every ring itself, so its request keys enter the
-    # per-request counts in ring order, and its request ids are ring indices
-    sim = tuple(count for (orig, _), count in metrics.rreq_tx.items()
-                if orig == source)
+    # the source opens every ring itself, so its request ids are ring indices
+    sim = tuple(metrics.rreq_tx[source, k] for k in range(len(rings)))
     return ProbeResult(ring_ttls=rings, census_counts=census,
                        sim_counts=sim, waits=waits,
                        emit_times=tuple(engine.nodes[source].rreq_opened))
